@@ -10,8 +10,10 @@
 //! joined with yet.
 
 use jit_exec::state::StateIndexMode;
-use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Window};
+use jit_types::{ColumnRef, FastMap, Signature, Timestamp, Tuple, TupleKey, Value, Window};
 use serde::{Content, Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Whether an entry suppresses production entirely or only marks it.
@@ -81,35 +83,84 @@ impl BlacklistEntry {
 /// identity of the MNS's first component (a super-tuple must carry that
 /// component), and by signature over each distinct signature-column set —
 /// so [`Blacklist::matching_entry`] examines only the candidate entries.
-/// Candidates are verified with [`BlacklistEntry::captures`] in ascending
-/// entry order, which makes the hashed lookup return exactly the entry the
-/// historical linear scan would have found. [`StateIndexMode::Scan`]
-/// restores the linear scan itself. Neither mode changes the analytical
-/// byte accounting: index bookkeeping is not charged, mirroring
-/// [`jit_exec::state::OperatorState`].
+/// Each candidate list is ascending, so the lookup returns the least
+/// capturing position over all lists: exactly the entry the linear scan
+/// would have found. [`StateIndexMode::Scan`] restores the linear scan
+/// itself. Neither mode changes the analytical byte accounting: index
+/// bookkeeping is not charged, mirroring [`jit_exec::state::OperatorState`].
+///
+/// # Storage
+///
+/// Removals are not rare: every resumption removes an entry, and a
+/// feedback-heavy run resumes thousands of times per window. Entries
+/// therefore live in a slab, the layout [`crate::mns_buffer::MnsBuffer`]
+/// uses. A removal leaves a `None` tombstone and unfiles just that entry
+/// from the indexes, so positions stay stable and no index is rebuilt.
+/// Once tombstones outnumber live entries, compaction repacks the slab in
+/// order and rebuilds the indexes, amortised O(1) per removal. Relative
+/// entry order never changes, so "first capturing entry" means the same
+/// entry before and after a compaction. A min-heap of `(timestamp,
+/// position)` over suspended tuples and non-Ø MNSs lets
+/// [`Blacklist::purge`] visit only the entries holding something expired.
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
     name: String,
-    entries: Vec<BlacklistEntry>,
+    /// Slab of entries in insertion order; `None` marks a removed entry.
+    slots: Vec<Option<BlacklistEntry>>,
+    /// Number of `Some` slots.
+    live: usize,
     bytes: usize,
     mode: StateIndexMode,
-    /// MNS identity → entry index (all entries).
+    /// MNS identity → entry position (live entries).
     by_key: FastMap<TupleKey, usize>,
-    /// Indices of entries whose MNS is Ø (they capture every tuple).
+    /// Positions of entries whose MNS is Ø (they capture every tuple).
     empty_entries: Vec<usize>,
     /// Non-empty entries keyed by the identity of their MNS's first
     /// component: any super-tuple of the MNS carries that component.
     by_component: FastMap<(u16, u64), Vec<usize>>,
-    /// Similar-capture entries grouped by signature column set, then by the
-    /// MNS's signature on those columns.
+    /// Similar-capture entries grouped by their signature's (sorted,
+    /// deduplicated) column list, then by the signature itself.
+    /// [`Signature::of`] depends only on that column list, so one probe
+    /// signature per group answers for every entry in it.
     by_signature: FastMap<Vec<ColumnRef>, FastMap<Signature, Vec<usize>>>,
-    /// Conservative lower bound on the earliest timestamp whose expiry could
-    /// make [`Blacklist::purge`] remove something (a suspended tuple's `ts`
-    /// or a non-Ø entry's MNS `ts`). `None` means no purge can remove
-    /// anything. Lowered on insertions, recomputed exactly by `purge` (which
-    /// scans every entry anyway); removals leave it stale-low, which only
-    /// costs one recomputing purge scan.
-    min_expiry: Option<Timestamp>,
+    /// Min-heap of `(timestamp, position)`: one item per suspended tuple and
+    /// per non-Ø MNS. Items of removed entries are skipped when popped;
+    /// compaction rebuilds the heap.
+    expiry: BinaryHeap<Reverse<(Timestamp, usize)>>,
+    /// Reusable probe signature for [`Blacklist::matching_entry`].
+    probe_signature: Signature,
+}
+
+/// Remove `pos` from an ascending position list.
+fn unfile(list: &mut Vec<usize>, pos: usize) {
+    if let Ok(i) = list.binary_search(&pos) {
+        list.remove(i);
+    }
+}
+
+/// A signature's column list (sorted and deduplicated by construction).
+fn columns_of(signature: &Signature) -> Vec<ColumnRef> {
+    signature.0.iter().map(|&(col, _)| col).collect()
+}
+
+/// The first position in the ascending `list` whose entry captures `tuple`,
+/// if it lies below `best` (the least capturing position found so far).
+fn first_capture(
+    slots: &[Option<BlacklistEntry>],
+    list: &[usize],
+    tuple: &Tuple,
+    allow_similar: bool,
+    best: Option<usize>,
+) -> Option<usize> {
+    list.iter()
+        .take_while(|&&pos| best.is_none_or(|b| pos < b))
+        .copied()
+        .find(|&pos| {
+            slots[pos]
+                .as_ref()
+                .is_some_and(|e| e.captures(tuple, allow_similar))
+        })
+        .or(best)
 }
 
 impl Blacklist {
@@ -134,40 +185,100 @@ impl Blacklist {
         self.mode
     }
 
-    /// File entry `idx` in the hash indexes.
-    fn index_entry(&mut self, idx: usize) {
-        let entry = &self.entries[idx];
-        self.by_key.insert(entry.mns.key(), idx);
+    /// File the live entry at `pos` in the hash indexes. Positions are
+    /// filed in ascending order, which keeps every list ascending.
+    fn file_entry(&mut self, pos: usize) {
+        let Some(entry) = &self.slots[pos] else {
+            return;
+        };
+        self.by_key.insert(entry.mns.key(), pos);
         if entry.mns.is_empty() {
-            self.empty_entries.push(idx);
-        } else {
-            let first = &entry.mns.parts()[0];
-            self.by_component
-                .entry((first.source.0, first.seq))
+            self.empty_entries.push(pos);
+            return;
+        }
+        let first = &entry.mns.parts()[0];
+        self.by_component
+            .entry((first.source.0, first.seq))
+            .or_default()
+            .push(pos);
+        if !entry.signature_columns.is_empty() {
+            self.by_signature
+                .entry(columns_of(&entry.signature))
                 .or_default()
-                .push(idx);
-            if !entry.signature_columns.is_empty() {
-                self.by_signature
-                    .entry(entry.signature_columns.clone())
-                    .or_default()
-                    .entry(entry.signature.clone())
-                    .or_default()
-                    .push(idx);
+                .entry(entry.signature.clone())
+                .or_default()
+                .push(pos);
+        }
+    }
+
+    /// Unfile the entry just taken out of slot `pos` from the hash indexes,
+    /// dropping the lists it leaves empty.
+    fn unfile_entry(&mut self, pos: usize, entry: &BlacklistEntry) {
+        self.by_key.remove(&entry.mns.key());
+        if entry.mns.is_empty() {
+            unfile(&mut self.empty_entries, pos);
+            return;
+        }
+        let first = &entry.mns.parts()[0];
+        let component = (first.source.0, first.seq);
+        if let Some(list) = self.by_component.get_mut(&component) {
+            unfile(list, pos);
+            if list.is_empty() {
+                self.by_component.remove(&component);
+            }
+        }
+        if entry.signature_columns.is_empty() {
+            return;
+        }
+        let columns = columns_of(&entry.signature);
+        if let Some(groups) = self.by_signature.get_mut(&columns) {
+            if let Some(list) = groups.get_mut(&entry.signature) {
+                unfile(list, pos);
+                if list.is_empty() {
+                    groups.remove(&entry.signature);
+                }
+            }
+            if groups.is_empty() {
+                self.by_signature.remove(&columns);
             }
         }
     }
 
-    /// Rebuild every hash index from scratch (entry indices shift whenever
-    /// an entry is removed; removals are rare feedback events, probes are
-    /// per-arrival, so the O(entries) rebuild is the cheap side).
-    fn reindex(&mut self) {
+    /// Push the expiry items of the entry at `pos`.
+    fn schedule_expiry(&mut self, pos: usize) {
+        let Some(entry) = &self.slots[pos] else {
+            return;
+        };
+        let mns_ts = (!entry.mns.is_empty()).then(|| entry.mns.ts());
+        let tuple_ts = entry.tuples.iter().map(|t| t.tuple.ts());
+        for ts in mns_ts.into_iter().chain(tuple_ts) {
+            self.expiry.push(Reverse((ts, pos)));
+        }
+    }
+
+    /// Rebuild everything derived from the slab: the hash indexes and the
+    /// expiry heap. Needed only after wholesale slab replacement —
+    /// compaction and restore.
+    fn rebuild_derived(&mut self) {
         self.by_key.clear();
         self.empty_entries.clear();
         self.by_component.clear();
         self.by_signature.clear();
-        for idx in 0..self.entries.len() {
-            self.index_entry(idx);
+        self.expiry.clear();
+        for pos in 0..self.slots.len() {
+            self.file_entry(pos);
+            self.schedule_expiry(pos);
         }
+    }
+
+    /// Reclaim tombstones once they outnumber the live entries: repack the
+    /// slab in order and rebuild the derived structures.
+    fn maybe_compact(&mut self) {
+        if self.slots.len() - self.live <= self.live.max(16) {
+            return;
+        }
+        self.slots.retain(Option::is_some);
+        self.rebuild_derived();
     }
 
     /// The blacklist's diagnostic name.
@@ -177,17 +288,17 @@ impl Blacklist {
 
     /// Number of entries (distinct MNSs).
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Total number of suspended tuples across all entries.
     pub fn num_tuples(&self) -> usize {
-        self.entries.iter().map(|e| e.tuples.len()).sum()
+        self.iter().map(|e| e.tuples.len()).sum()
     }
 
     /// Is the blacklist empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 
     /// Analytical size in bytes (MNSs plus suspended tuples).
@@ -195,20 +306,33 @@ impl Blacklist {
         self.bytes
     }
 
-    /// The entries, for inspection.
-    pub fn entries(&self) -> &[BlacklistEntry] {
-        &self.entries
+    /// The live entries, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &BlacklistEntry> {
+        self.slots.iter().filter_map(Option::as_ref)
     }
 
-    /// Index of the entry for an MNS, if present.
+    /// The entry at position `idx`. Positions come from
+    /// [`Blacklist::upsert_entry`], [`Blacklist::entry_index`] or
+    /// [`Blacklist::matching_entry`] and stay valid until the next removal
+    /// ([`Blacklist::remove_entry`], [`Blacklist::purge`] or a restore).
+    /// Panics on a position that is not live.
+    pub fn entry(&self, idx: usize) -> &BlacklistEntry {
+        // INVARIANT: the documented contract above — callers pass a position
+        // returned by a lookup with no removal in between, so it is live.
+        self.slots[idx].as_ref().expect("live blacklist entry")
+    }
+
+    /// Position of the entry for an MNS, if present.
     pub fn entry_index(&self, key: &TupleKey) -> Option<usize> {
         if self.mode == StateIndexMode::Hashed {
             return self.by_key.get(key).copied();
         }
-        self.entries.iter().position(|e| &e.mns.key() == key)
+        self.slots
+            .iter()
+            .position(|slot| slot.as_ref().is_some_and(|e| &e.mns.key() == key))
     }
 
-    /// Create (or find) the entry for `mns`. Returns its index.
+    /// Create (or find) the entry for `mns`. Returns its position.
     pub fn upsert_entry(
         &mut self,
         mns: Tuple,
@@ -218,52 +342,46 @@ impl Blacklist {
     ) -> usize {
         if let Some(idx) = self.entry_index(&mns.key()) {
             // Upgrade a mark-only entry to a full suspension if asked.
-            if mode == SuspendMode::Suspend {
-                self.entries[idx].mode = SuspendMode::Suspend;
+            if let (SuspendMode::Suspend, Some(entry)) = (mode, &mut self.slots[idx]) {
+                entry.mode = SuspendMode::Suspend;
             }
             return idx;
         }
         let signature = Signature::of(&mns, &signature_columns);
-        if !mns.is_empty() {
-            self.note_expiry(mns.ts());
-        }
         self.bytes += mns.size_bytes() + signature.size_bytes();
-        self.entries.push(BlacklistEntry {
+        let pos = self.slots.len();
+        self.slots.push(Some(BlacklistEntry {
             mns,
             signature_columns,
             signature,
             mode,
             suspended_at: now,
             tuples: Vec::new(),
-        });
-        let idx = self.entries.len() - 1;
-        self.index_entry(idx);
-        idx
-    }
-
-    /// Lower the purge bound to cover a timestamp that just became purgeable
-    /// in the future.
-    fn note_expiry(&mut self, ts: Timestamp) {
-        self.min_expiry = Some(match self.min_expiry {
-            Some(cur) => cur.min(ts),
-            None => ts,
-        });
+        }));
+        self.live += 1;
+        self.file_entry(pos);
+        self.schedule_expiry(pos);
+        pos
     }
 
     /// The earliest timestamp whose window expiry could make
     /// [`Blacklist::purge`] remove a tuple or an entry, or `None` when a
-    /// purge provably removes nothing. Conservative (see the field docs):
-    /// a premature instant only triggers a purge scan that removes nothing
-    /// — which charges nothing — and tightens the bound.
+    /// purge provably removes nothing — the expiry heap's minimum.
+    /// Conservative: items of removed entries, or of MNSs whose entry still
+    /// holds live tuples, may report an instant at which a purge removes
+    /// nothing, which charges nothing.
     pub fn next_expiry(&self) -> Option<Timestamp> {
-        self.min_expiry
+        self.expiry.peek().map(|&Reverse((ts, _))| ts)
     }
 
-    /// Add a suspended tuple to an entry.
+    /// Add a suspended tuple to the entry at position `entry` (same
+    /// contract as [`Blacklist::entry`]).
     pub fn add_tuple(&mut self, entry: usize, tuple: Tuple, joined_up_to: Option<Timestamp>) {
-        self.note_expiry(tuple.ts());
+        self.expiry.push(Reverse((tuple.ts(), entry)));
         self.bytes += tuple.size_bytes();
-        self.entries[entry].tuples.push(BlacklistedTuple {
+        // INVARIANT: same live-position contract as `entry`.
+        let slot = self.slots[entry].as_mut().expect("live blacklist entry");
+        slot.tuples.push(BlacklistedTuple {
             tuple,
             joined_up_to,
         });
@@ -272,60 +390,89 @@ impl Blacklist {
     /// The first entry that captures an arriving tuple, if any.
     ///
     /// Under [`StateIndexMode::Hashed`] only the candidate entries surfaced
-    /// by the hash indexes are verified (ascending, so the entry returned is
-    /// exactly the linear scan's first match); under
-    /// [`StateIndexMode::Scan`] every entry is examined in order.
-    pub fn matching_entry(&self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
-        if self.entries.is_empty() {
+    /// by the hash indexes are verified, and no allocation is made; under
+    /// [`StateIndexMode::Scan`] every entry is examined in order. Both
+    /// return the lowest capturing position.
+    pub fn matching_entry(&mut self, tuple: &Tuple, allow_similar: bool) -> Option<usize> {
+        if self.live == 0 {
             return None;
         }
         if self.mode == StateIndexMode::Scan {
-            return self
-                .entries
-                .iter()
-                .position(|e| e.captures(tuple, allow_similar));
+            return self.slots.iter().position(|slot| {
+                slot.as_ref()
+                    .is_some_and(|e| e.captures(tuple, allow_similar))
+            });
         }
-        let mut candidates: Vec<usize> = self.empty_entries.clone();
+        let slots = &self.slots;
+        let mut best = first_capture(slots, &self.empty_entries, tuple, allow_similar, None);
         for part in tuple.parts() {
-            if let Some(idxs) = self.by_component.get(&(part.source.0, part.seq)) {
-                candidates.extend_from_slice(idxs);
+            if let Some(list) = self.by_component.get(&(part.source.0, part.seq)) {
+                best = first_capture(slots, list, tuple, allow_similar, best);
             }
         }
         if allow_similar {
-            for (cols, groups) in &self.by_signature {
-                if let Some(idxs) = groups.get(&Signature::of(tuple, cols)) {
-                    candidates.extend_from_slice(idxs);
+            let probe = &mut self.probe_signature;
+            for (columns, groups) in &self.by_signature {
+                // Signature::of over the group's sorted, deduplicated
+                // columns, formed in the reusable buffer.
+                probe.0.clear();
+                probe.0.extend(
+                    columns
+                        .iter()
+                        .map(|&c| (c, tuple.value(c).cloned().unwrap_or(Value::Null))),
+                );
+                if let Some(list) = groups.get(&*probe) {
+                    best = first_capture(slots, list, tuple, allow_similar, best);
                 }
             }
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-        candidates
-            .into_iter()
-            .find(|&idx| self.entries[idx].captures(tuple, allow_similar))
+        best
     }
 
     /// Remove and return the entry for an MNS (resumption).
     pub fn remove_entry(&mut self, key: &TupleKey) -> Option<BlacklistEntry> {
-        let idx = self.entry_index(key)?;
-        let entry = self.entries.remove(idx);
+        let pos = self.entry_index(key)?;
+        let entry = self.slots[pos].take()?;
+        self.live -= 1;
         self.bytes -= entry.mns.size_bytes() + entry.signature.size_bytes();
         self.bytes -= entry
             .tuples
             .iter()
             .map(|t| t.tuple.size_bytes())
             .sum::<usize>();
-        self.reindex();
+        self.unfile_entry(pos, &entry);
+        self.maybe_compact();
         Some(entry)
     }
 
     /// Drop expired suspended tuples and entries that have become useless
     /// (MNS expired and no live tuples remain). Returns the number of tuples
     /// removed.
+    ///
+    /// O(expired) heap pops, plus one pass over each entry that holds an
+    /// expired item; entries with nothing expired are not visited.
     pub fn purge(&mut self, window: Window, now: Timestamp) -> usize {
+        let mut due = Vec::new();
+        while let Some(&Reverse((ts, pos))) = self.expiry.peek() {
+            if !window.is_expired(ts, now) {
+                break;
+            }
+            self.expiry.pop();
+            if self.slots[pos].is_some() {
+                due.push(pos);
+            }
+        }
+        if due.is_empty() {
+            return 0;
+        }
+        due.sort_unstable();
+        due.dedup();
         let mut removed = 0usize;
         let mut freed = 0usize;
-        for entry in &mut self.entries {
+        for pos in due {
+            let Some(entry) = self.slots[pos].as_mut() else {
+                continue;
+            };
             entry.tuples.retain(|t| {
                 if window.is_expired(t.tuple.ts(), now) {
                     removed += 1;
@@ -335,47 +482,41 @@ impl Blacklist {
                     true
                 }
             });
-        }
-        let before = self.entries.len();
-        self.entries.retain(|e| {
-            let dead =
-                e.tuples.is_empty() && !e.mns.is_empty() && window.is_expired(e.mns.ts(), now);
+            let dead = entry.tuples.is_empty()
+                && !entry.mns.is_empty()
+                && window.is_expired(entry.mns.ts(), now);
             if dead {
-                freed += e.mns.size_bytes() + e.signature.size_bytes();
+                if let Some(entry) = self.slots[pos].take() {
+                    freed += entry.mns.size_bytes() + entry.signature.size_bytes();
+                    self.live -= 1;
+                    self.unfile_entry(pos, &entry);
+                }
             }
-            !dead
-        });
-        if self.entries.len() != before {
-            self.reindex();
         }
         self.bytes -= freed;
-        // The scan visited everything, so recompute the purge bound exactly.
-        self.min_expiry = self
-            .entries
-            .iter()
-            .flat_map(|e| {
-                e.tuples
-                    .iter()
-                    .map(|t| t.tuple.ts())
-                    .chain((!e.mns.is_empty()).then(|| e.mns.ts()))
-            })
-            .min();
+        self.maybe_compact();
         removed
     }
 
-    /// Serialise the entries for a durability checkpoint. The index mode and
-    /// the hash indexes are runtime configuration / derived structure and are
-    /// not persisted.
+    /// Serialise the live entries, in order, for a durability checkpoint.
+    /// The index mode, the slab layout, the hash indexes and the expiry
+    /// heap are runtime configuration / derived structure and are not
+    /// persisted, so a blacklist carrying tombstones checkpoints exactly
+    /// like a freshly built one holding the same entries.
     pub fn checkpoint(&self) -> Content {
         Content::Map(vec![
             ("name".to_string(), Content::Str(self.name.clone())),
-            ("entries".to_string(), self.entries.to_content()),
+            (
+                "entries".to_string(),
+                Content::Seq(self.iter().map(Serialize::to_content).collect()),
+            ),
         ])
     }
 
     /// Replace the entries with a checkpointed set, rebuilding the byte
-    /// accounting and the hash indexes. The checkpoint must carry the same
-    /// diagnostic name (i.e. come from the same operator slot).
+    /// accounting, the hash indexes and the expiry heap. The checkpoint must
+    /// carry the same diagnostic name (i.e. come from the same operator
+    /// slot).
     pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
         let map = content
             .as_map()
@@ -388,15 +529,6 @@ impl Blacklist {
             )));
         }
         let entries: Vec<BlacklistEntry> = serde::field(map, "entries", "Blacklist")?;
-        self.min_expiry = entries
-            .iter()
-            .flat_map(|e| {
-                e.tuples
-                    .iter()
-                    .map(|t| t.tuple.ts())
-                    .chain((!e.mns.is_empty()).then(|| e.mns.ts()))
-            })
-            .min();
         self.bytes = entries
             .iter()
             .map(|e| {
@@ -405,8 +537,9 @@ impl Blacklist {
                     + e.tuples.iter().map(|t| t.tuple.size_bytes()).sum::<usize>()
             })
             .sum();
-        self.entries = entries;
-        self.reindex();
+        self.live = entries.len();
+        self.slots = entries.into_iter().map(Some).collect();
+        self.rebuild_derived();
         Ok(())
     }
 }
@@ -529,9 +662,9 @@ mod tests {
         let mut bl = Blacklist::new("B");
         let a1 = tup(0, 1, 0, &[7, 100]);
         let idx = bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Mark, a1.ts());
-        assert_eq!(bl.entries()[idx].mode, SuspendMode::Mark);
+        assert_eq!(bl.entry(idx).mode, SuspendMode::Mark);
         bl.upsert_entry(a1.clone(), sig_cols(), SuspendMode::Suspend, a1.ts());
-        assert_eq!(bl.entries()[idx].mode, SuspendMode::Suspend);
+        assert_eq!(bl.entry(idx).mode, SuspendMode::Suspend);
     }
 
     /// The hashed index and the linear scan must pick the same entry for
@@ -586,22 +719,124 @@ mod tests {
         for mns in &mnss {
             assert_eq!(hashed.entry_index(&mns.key()), scan.entry_index(&mns.key()));
         }
-        // Remove an entry (indices shift) and re-check agreement.
+        // Remove an entry (leaving a tombstone) and re-check agreement.
         hashed.remove_entry(&mnss[1].key());
         scan.remove_entry(&mnss[1].key());
-        // Purge the oldest entries (indices shift again).
+        // Purge the oldest entries.
         hashed.purge(window(), Timestamp::from_millis(62_000));
         scan.purge(window(), Timestamp::from_millis(62_000));
-        assert_eq!(hashed.num_entries(), scan.num_entries());
-        for allow_similar in [false, true] {
-            for p in &probes {
+        assert_agree(&mut hashed, &mut scan, &probes, "post-removal");
+
+        // Past the compaction threshold: 90 more entries over two signature
+        // column lists (one spelled in two orders), each holding a suspended
+        // tuple, then interleaved removals and purges.
+        let wide = vec![
+            ColumnRef::new(SourceId(0), 1),
+            ColumnRef::new(SourceId(0), 0),
+        ];
+        let wide_rev: Vec<ColumnRef> = wide.iter().rev().copied().collect();
+        let vals = |i: u64| [(i % 5) as i64, (i % 7) as i64 * 100];
+        let more: Vec<Tuple> = (0..90u64)
+            .map(|i| tup(0, 100 + i, 10_000 + i * 500, &vals(i)))
+            .collect();
+        for (i, mns) in more.iter().enumerate() {
+            let cols = [sig_cols(), wide.clone(), wide_rev.clone()][i % 3].clone();
+            let held = tup(
+                0,
+                1_000 + i as u64,
+                12_000 + i as u64 * 500,
+                &vals(i as u64 + 1),
+            );
+            for bl in [&mut hashed, &mut scan] {
+                let idx =
+                    bl.upsert_entry(mns.clone(), cols.clone(), SuspendMode::Suspend, mns.ts());
+                bl.add_tuple(idx, held.clone(), None);
+            }
+        }
+        let b = tup(1, 9, 30_000, &[3]);
+        let probes: Vec<Tuple> = (0..35u64)
+            .map(|i| tup(0, 500 + i, 40_000, &vals(i)))
+            .chain(more.iter().filter_map(|m| m.join(&b).ok()))
+            .chain(more.iter().cloned())
+            .collect();
+        assert_agree(&mut hashed, &mut scan, &probes, "filled");
+        for step in 0..9u64 {
+            for k in [step * 7, step * 7 + 3] {
+                let key = more[k as usize].key();
                 assert_eq!(
-                    hashed.matching_entry(p, allow_similar),
-                    scan.matching_entry(p, allow_similar),
-                    "post-removal probe {p} similar={allow_similar}"
+                    hashed.remove_entry(&key).map(|e| e.tuples.len()),
+                    scan.remove_entry(&key).map(|e| e.tuples.len())
+                );
+            }
+            let now = Timestamp::from_millis(70_000 + step * 4_000);
+            assert_eq!(hashed.purge(window(), now), scan.purge(window(), now));
+            assert_agree(&mut hashed, &mut scan, &probes, &format!("step {step}"));
+        }
+        // Compaction ran (the slab is shorter than the 97 entries ever
+        // inserted) and left tombstones bounded by the live count.
+        assert!(hashed.slots.len() < 97);
+        assert!(hashed.slots.len() - hashed.live <= hashed.live.max(16));
+    }
+
+    /// Both blacklists hold the same live entries and pick the same entry
+    /// for every probe.
+    fn assert_agree(h: &mut Blacklist, s: &mut Blacklist, probes: &[Tuple], label: &str) {
+        assert_eq!(h.num_entries(), s.num_entries(), "{label}");
+        assert_eq!(h.num_tuples(), s.num_tuples(), "{label}");
+        assert_eq!(h.size_bytes(), s.size_bytes(), "{label}");
+        assert_eq!(h.next_expiry(), s.next_expiry(), "{label}");
+        for allow_similar in [false, true] {
+            for p in probes {
+                assert_eq!(
+                    h.matching_entry(p, allow_similar),
+                    s.matching_entry(p, allow_similar),
+                    "{label}: probe {p} similar={allow_similar}"
                 );
             }
         }
+    }
+
+    /// Tombstones are layout, not content: a blacklist that has seen
+    /// removals and purges checkpoints exactly like a freshly built one
+    /// holding the same live entries.
+    #[test]
+    fn checkpoint_ignores_tombstones() {
+        let mut bl = Blacklist::new("B");
+        for i in 0..10u64 {
+            let mns = tup(0, i, i * 10_000, &[i as i64, (i % 3) as i64]);
+            let cols = if i % 2 == 0 { sig_cols() } else { vec![] };
+            let idx = bl.upsert_entry(mns.clone(), cols, SuspendMode::Suspend, mns.ts());
+            bl.add_tuple(
+                idx,
+                tup(0, 100 + i, i * 10_000 + 5_000, &[1, 2]),
+                Some(mns.ts()),
+            );
+        }
+        bl.remove_entry(&tup(0, 4, 0, &[]).key());
+        bl.remove_entry(&tup(0, 7, 0, &[]).key());
+        // Expires entries 0 and 1 whole and entry 2's MNS but not its tuple.
+        assert_eq!(bl.purge(window(), Timestamp::from_millis(81_000)), 2);
+        assert!(bl.slots.len() > bl.num_entries(), "tombstones remain");
+
+        let mut fresh = Blacklist::new("B");
+        for e in bl.iter() {
+            let idx = fresh.upsert_entry(
+                e.mns.clone(),
+                e.signature_columns.clone(),
+                e.mode,
+                e.suspended_at,
+            );
+            for t in &e.tuples {
+                fresh.add_tuple(idx, t.tuple.clone(), t.joined_up_to);
+            }
+        }
+        assert_eq!(fresh.slots.len(), fresh.num_entries());
+        assert_eq!(bl.checkpoint(), fresh.checkpoint());
+        assert_eq!(bl.size_bytes(), fresh.size_bytes());
+        // Restoring the checkpoint reproduces it, layout aside.
+        let mut restored = Blacklist::new("B");
+        restored.restore_checkpoint(&bl.checkpoint()).unwrap();
+        assert_eq!(restored.checkpoint(), fresh.checkpoint());
     }
 
     /// A super-tuple probe (components from several sources) is found via
@@ -634,9 +869,9 @@ mod tests {
         assert_eq!(restored.num_entries(), bl.num_entries());
         assert_eq!(restored.num_tuples(), bl.num_tuples());
         assert_eq!(restored.size_bytes(), bl.size_bytes());
-        assert_eq!(restored.entries()[0].mode, SuspendMode::Suspend);
+        assert_eq!(restored.entry(0).mode, SuspendMode::Suspend);
         assert_eq!(
-            restored.entries()[0].tuples[0].joined_up_to,
+            restored.entry(0).tuples[0].joined_up_to,
             Some(Timestamp::from_millis(5))
         );
         // The rebuilt indexes answer probes like the original.

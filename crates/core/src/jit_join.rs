@@ -46,7 +46,7 @@ use jit_exec::operator::{
     BatchPrep, DataMessage, FeedbackOutcome, OpContext, Operator, OperatorOutput, Port, ProbePrep,
     ResultBlock, SuppressionDigest, LEFT, RIGHT,
 };
-use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode};
+use jit_exec::state::{JoinKeySpec, OperatorState, StateIndexMode, StoredTuple};
 use jit_metrics::CostKind;
 use jit_types::{
     Batch, ColumnRef, FastMap, Feedback, FeedbackCommand, PredicateSet, SourceSet, Timestamp,
@@ -618,10 +618,26 @@ impl JitJoinOperator {
         let sig_columns = self.similarity_columns(mns.sources());
         let entry_idx = self.blacklists[side].upsert_entry(mns.clone(), sig_columns, mode, now);
         // Drain super-tuples (and similar tuples) of the MNS from the state.
+        // A super-tuple carries the MNS's own components, hence its values
+        // on the signature columns, and a similar tuple carries the
+        // signature by definition. So when the MNS has a value on every
+        // signature column, every captured tuple is filed under the
+        // signature in a hash index over those columns (or in its overflow
+        // list, if it lacks one of them), and the keyed drain finds them
+        // all without scanning the state.
         let capture_similar = self.policy.capture_similar;
-        let entry_snapshot = self.blacklists[side].entries()[entry_idx].clone();
-        let drained = self.states[side]
-            .drain_where(|stored| entry_snapshot.captures(&stored.tuple, capture_similar));
+        let entry = self.blacklists[side].entry(entry_idx);
+        let captures = |stored: &StoredTuple| entry.captures(&stored.tuple, capture_similar);
+        let keyed = entry
+            .signature
+            .0
+            .iter()
+            .all(|&(col, _)| entry.mns.value(col).is_some());
+        let drained = if keyed {
+            self.states[side].drain_keyed(&entry.signature.0, captures)
+        } else {
+            self.states[side].drain_where(captures)
+        };
         for stored in drained {
             // Close the tuple's presence interval at the current event.
             let key = stored.tuple.key();
@@ -810,7 +826,7 @@ impl JitJoinOperator {
         if let Some(idx) =
             self.blacklists[port].matching_entry(&msg.tuple, self.policy.capture_similar)
         {
-            if self.blacklists[port].entries()[idx].mode == SuspendMode::Suspend {
+            if self.blacklists[port].entry(idx).mode == SuspendMode::Suspend {
                 self.blacklists[port].add_tuple(idx, msg.tuple.clone(), None);
                 ctx.metrics.stats.blacklisted_tuples += 1;
                 ctx.metrics.stats.intermediate_suppressed += 1;
@@ -1201,7 +1217,6 @@ impl Operator for JitJoinOperator {
         }
         for side in [LEFT, RIGHT] {
             let suspended: Vec<Tuple> = self.blacklists[side]
-                .entries()
                 .iter()
                 .map(|entry| entry.mns.clone())
                 .collect();
@@ -1358,7 +1373,7 @@ impl Operator for JitJoinOperator {
     fn suppression_digest(&self) -> SuppressionDigest {
         let mut digest = SuppressionDigest::default();
         for side in [LEFT, RIGHT] {
-            for entry in self.blacklists[side].entries() {
+            for entry in self.blacklists[side].iter() {
                 digest.add(entry.signature_columns.clone(), entry.signature.clone());
             }
         }

@@ -45,6 +45,15 @@
 //! *matches* in exactly the same (insertion) order — result sets and their
 //! ordering are byte-identical between the two modes.
 //!
+//! ## Keyed drains
+//!
+//! JIT's `Suspend_Production` removes the tuples an MNS captures.
+//! [`OperatorState::drain_keyed`] finds them through an index on the MNS
+//! signature's columns, reusing a probe index whose stored-side columns
+//! are exactly those, and building one otherwise. Candidates come from one
+//! bucket plus the overflow list in insertion order, so the drain returns
+//! what a full [`OperatorState::drain_where`] scan would.
+//!
 //! ## Ordered expiry
 //!
 //! `purge(now)` used to re-scan every stored tuple on every message. The
@@ -199,6 +208,23 @@ impl JoinKeySpec {
     pub fn probe_columns(&self) -> impl Iterator<Item = ColumnRef> + '_ {
         self.pairs.iter().map(|&(_, probe_col)| probe_col)
     }
+
+    /// The stored-side column references, in pair order — the columns a
+    /// stored tuple's key is formed from.
+    fn stored_columns(&self) -> impl Iterator<Item = ColumnRef> + '_ {
+        self.pairs.iter().map(|&(stored_col, _)| stored_col)
+    }
+
+    /// A key over the stored tuples' own values on `columns`, looked up with
+    /// a tuple of the same schema (each column pairs with itself). Never
+    /// equal to a [`JoinKeySpec::between`] spec, whose two sides are
+    /// disjoint.
+    fn on_columns(columns: impl IntoIterator<Item = ColumnRef>) -> Self {
+        let mut pairs: Vec<(ColumnRef, ColumnRef)> = columns.into_iter().map(|c| (c, c)).collect();
+        pairs.sort();
+        pairs.dedup();
+        JoinKeySpec { pairs }
+    }
 }
 
 /// Timestamp-sorted expiry queue exploiting the near-sorted insert order of
@@ -341,6 +367,9 @@ pub(crate) struct HashIndex {
     /// Handles of stored tuples missing a stored-side key column; always
     /// scanned in addition to the bucket. Ascending.
     overflow: Vec<u64>,
+    /// Handles filed since the last clear — an upper bound on the handles
+    /// held, live or stale.
+    filed: usize,
 }
 
 impl HashIndex {
@@ -360,6 +389,7 @@ impl HashIndex {
         handle: u64,
         scratch: &mut Vec<Value>,
     ) {
+        self.filed += 1;
         if spec.stored_key_into(tuple, scratch) {
             self.buckets.push(scratch, handle);
         } else {
@@ -382,6 +412,7 @@ impl HashIndex {
     pub(crate) fn clear(&mut self) {
         self.buckets.clear();
         self.overflow.clear();
+        self.filed = 0;
     }
 }
 
@@ -592,6 +623,64 @@ impl OperatorState {
         drained
     }
 
+    /// [`OperatorState::drain_where`] through a hash index: remove and
+    /// return, in insertion order, the entries for which `pred` holds among
+    /// those whose values on `key`'s columns equal `key`'s values, plus
+    /// those missing one of the columns.
+    ///
+    /// Equals `drain_where(pred)` whenever `pred` rejects every entry that
+    /// carries all of the columns with some other value. `key` must be
+    /// sorted by column without repeats — the layout of a
+    /// [`jit_types::Signature`]. The drain reuses any index whose
+    /// stored-side columns are exactly `key`'s; otherwise it builds one,
+    /// which like every index is maintained from then on. With an empty key
+    /// or under [`StateIndexMode::Scan`] this is `drain_where`.
+    pub fn drain_keyed(
+        &mut self,
+        key: &[(ColumnRef, Value)],
+        mut pred: impl FnMut(&StoredTuple) -> bool,
+    ) -> Vec<StoredTuple> {
+        if self.mode == StateIndexMode::Scan || key.is_empty() {
+            return self.drain_where(pred);
+        }
+        let columns = || key.iter().map(|&(col, _)| col);
+        let found = self
+            .indexes
+            .iter()
+            .position(|(spec, _)| spec.stored_columns().eq(columns()));
+        let at = match found {
+            Some(at) => at,
+            None => {
+                self.ensure_index(&JoinKeySpec::on_columns(columns()));
+                self.indexes.len() - 1
+            }
+        };
+        // Probes reclaim the stale handles of the buckets they read; a
+        // drain-only index has no such reader, so refile it once stale
+        // handles outnumber the live entries: amortised O(1) per removal,
+        // and its size stays O(live).
+        if self.indexes[at].1.filed > 2 * self.live_count + 64 {
+            let (spec, index) = &mut self.indexes[at];
+            index.clear();
+            file_live(&self.slots, self.base, spec, index);
+        }
+        let mut values = std::mem::take(&mut self.key_scratch);
+        values.clear();
+        values.extend(key.iter().map(|(_, v)| v.clone()));
+        let index = &self.indexes[at].1;
+        let bucket = index.buckets.get(&values).map(Vec::as_slice);
+        let mut candidates = Vec::new();
+        merge_ascending_into(bucket.unwrap_or_default(), &index.overflow, &mut candidates);
+        self.key_scratch = values;
+        candidates.retain(|&seq| self.get(seq).is_some_and(&mut pred));
+        let drained: Vec<StoredTuple> = candidates
+            .into_iter()
+            .filter_map(|seq| self.take(seq))
+            .collect();
+        self.maybe_compact();
+        drained
+    }
+
     /// Remove everything (indexes included; they rebuild lazily).
     pub fn clear(&mut self) {
         self.generation += 1;
@@ -781,11 +870,7 @@ impl OperatorState {
             return;
         }
         let mut index = HashIndex::default();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if let Some(entry) = slot {
-                index.file(spec, &entry.tuple, self.base + idx as u64);
-            }
-        }
+        file_live(&self.slots, self.base, spec, &mut index);
         self.indexes.push((spec.clone(), index));
     }
 
@@ -819,6 +904,21 @@ impl OperatorState {
         }
         self.slots = entries.into_iter().map(Some).collect();
         debug_assert_eq!(self.slots.len(), self.live_count);
+    }
+}
+
+/// File every live slot of a slab whose front handle is `base` in `index`,
+/// in insertion order.
+fn file_live(
+    slots: &VecDeque<Option<StoredTuple>>,
+    base: u64,
+    spec: &JoinKeySpec,
+    index: &mut HashIndex,
+) {
+    for (idx, slot) in slots.iter().enumerate() {
+        if let Some(entry) = slot {
+            index.file(spec, &entry.tuple, base + idx as u64);
+        }
     }
 }
 
@@ -1360,5 +1460,90 @@ mod tests {
             };
             assert_eq!(matching(&mut hashed), matching(&mut scan), "key {key}");
         }
+    }
+
+    /// The keyed drain returns exactly `drain_where`'s entries, in the same
+    /// order, on random states: single- and two-column keys, `Null` key
+    /// values, stored tuples missing a key column (overflow), keys that
+    /// reuse a probe index and keys that build their own, interleaved with
+    /// purges and restores.
+    #[test]
+    fn keyed_drain_equals_drain_where() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let value = |r: u64| {
+            if r == 3 {
+                Value::Null
+            } else {
+                Value::int(r as i64)
+            }
+        };
+        let w = Window::new(Duration::from_secs(5));
+        let mut total_drained = 0;
+        let c = |source: u16, column: u16| ColumnRef::new(SourceId(source), column);
+        let keys = [vec![c(1, 0)], vec![c(1, 1)], vec![c(1, 0), c(1, 1)]];
+        let mut indexed = OperatorState::new("K");
+        let mut plain = OperatorState::new("P");
+        let mut scan = OperatorState::with_index_mode("S", StateIndexMode::Scan);
+        // The A.x0 = B.x0 probe index stores on B.x0: the first key reuses it.
+        let probe = keyed(0, 0, 0, 1);
+        let _ = indexed.probe(&ab_spec(), &probe);
+        for step in 0..400u64 {
+            let arity = 1 + next(2) as usize;
+            let source = if next(8) == 0 { 2 } else { 1 };
+            let vals: Vec<Value> = (0..arity).map(|_| value(next(4))).collect();
+            let t = Tuple::from_base(Arc::new(BaseTuple::new(
+                SourceId(source),
+                step,
+                Timestamp::from_millis(step * 100),
+                vals,
+            )));
+            for st in [&mut indexed, &mut plain, &mut scan] {
+                st.insert(t.clone(), Timestamp::from_millis(step * 100));
+            }
+            if step % 5 != 4 {
+                continue;
+            }
+            let cols = &keys[next(3) as usize];
+            let key: Vec<(ColumnRef, Value)> =
+                cols.iter().map(|&col| (col, value(next(4)))).collect();
+            let parity = next(2);
+            // Matches the key (a missing column reads as Null, as in a
+            // signature), thinned by an arbitrary extra condition.
+            let pred = |e: &StoredTuple| {
+                key.iter()
+                    .all(|(col, v)| e.tuple.value(*col).unwrap_or(&Value::Null) == v)
+                    && e.tuple.parts()[0].seq % 2 != parity
+            };
+            let a = indexed.drain_keyed(&key, pred);
+            let b = plain.drain_where(pred);
+            let s = scan.drain_keyed(&key, pred);
+            assert_eq!(a, b, "step {step} key {key:?}");
+            assert_eq!(s, b, "step {step} key {key:?}");
+            total_drained += b.len();
+            let now = Timestamp::from_millis(step * 100);
+            for st in [&mut indexed, &mut plain, &mut scan] {
+                st.purge(w, now);
+            }
+            // Put some of the drained entries back (they keep their
+            // original insertion time).
+            for entry in b.into_iter().filter(|_| next(2) == 0) {
+                for st in [&mut indexed, &mut plain, &mut scan] {
+                    st.restore(entry.clone());
+                }
+            }
+            let contents = |st: &OperatorState| st.iter().cloned().collect::<Vec<_>>();
+            assert_eq!(contents(&indexed), contents(&plain));
+            assert_eq!(contents(&scan), contents(&plain));
+        }
+        assert!(total_drained > 20, "drained {total_drained}");
+        // The reused probe index plus one built index per other column list.
+        assert_eq!(indexed.num_indexes(), 3);
+        assert_eq!(scan.num_indexes(), 0);
     }
 }

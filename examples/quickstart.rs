@@ -81,10 +81,11 @@ fn main() {
         jit_run.snapshot.stats.feedback_total()
     );
 
-    // Correctness guarantee (see DESIGN.md): JIT produces a duplicate-free
-    // subset of REF's results and never misses a result whose components are
-    // all strictly within one window of each other; the only REF-extra
-    // results are "frozen composites" whose components have already expired.
+    // Correctness guarantee (see README.md, "Known deviations from the
+    // paper"): JIT produces a duplicate-free subset of REF's results and
+    // never misses a result whose components are all strictly within one
+    // window of each other; the only REF-extra results are "frozen
+    // composites" whose components have already expired.
     assert!(!output::has_duplicates(&jit_run.results));
     assert!(output::missing_from(&jit_run.results, &ref_run.results).is_empty());
     let in_window = |t: &Tuple| t.ts().saturating_sub(t.min_ts()) < workload.window().length;

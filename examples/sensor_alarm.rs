@@ -67,7 +67,8 @@ fn main() {
     let jit_run = &outcomes[2];
     // JIT raises every alarm whose readings are mutually within the window
     // (REF may additionally report stale combinations whose oldest reading
-    // has already expired — see DESIGN.md, known deviations).
+    // has already expired — see README.md, "Known deviations from the
+    // paper").
     assert!(!output::has_duplicates(&jit_run.results));
     assert!(output::missing_from(&jit_run.results, &ref_run.results).is_empty());
     println!(

@@ -12,9 +12,9 @@
 //! * **Expiring workloads**: JIT's results must be a subset of REF's, free of
 //!   duplicates, and any result REF has but JIT lacks must contain a pair of
 //!   base tuples at least a full window apart (the X-Join artefact discussed
-//!   in DESIGN.md: REF "freezes" expired components inside stored
-//!   intermediate results, while JIT regenerates them only while all
-//!   components are mutually alive).
+//!   in README.md, "Known deviations from the paper": REF "freezes" expired
+//!   components inside stored intermediate results, while JIT regenerates
+//!   them only while all components are mutually alive).
 
 use jit_dsms::prelude::*;
 use proptest::prelude::*;
@@ -73,8 +73,9 @@ fn no_expiry_workload_all_modes_agree_exactly() {
             assert!(!output::has_duplicates(&other.results));
             // Temporal order is only guaranteed for REF: JIT may re-emit a
             // suppressed result after results with larger timestamps once a
-            // resumption arrives (see DESIGN.md, "known deviations"). The
-            // result *set* is identical, which is what we assert above.
+            // resumption arrives (see README.md, "Known deviations from the
+            // paper"). The result *set* is identical, which is what we assert
+            // above.
         }
     }
 }
