@@ -16,8 +16,9 @@
 //!    checkpointing the full session state to disk every K arrivals, for
 //!    a range of cadences, and reports bytes written, time spent
 //!    serialising, and the wall-clock overhead over a checkpoint-free run —
-//!    then restores from the *last* checkpoint file and verifies the
-//!    replayed tail reproduces the uninterrupted result count.
+//!    then restores from the *last* checkpoint file (timing the read plus
+//!    restore) and verifies the replayed tail reproduces the uninterrupted
+//!    result count.
 //!
 //! Usage:
 //!
@@ -69,6 +70,9 @@ struct CheckpointPoint {
     wall_seconds: f64,
     /// Wall-clock cost relative to the checkpoint-free run.
     overhead_ratio: f64,
+    /// Wall-clock milliseconds to read the last checkpoint file and
+    /// rebuild a live session from it.
+    restore_millis: f64,
     results: u64,
     recovered_results: u64,
 }
@@ -174,9 +178,11 @@ fn run_checkpoint_point(
     // Recovery check: restore the last checkpoint, replay the tail, and the
     // total result count must match the uninterrupted run.
     let engine = builder.clone().build().unwrap();
+    let restore_start = Instant::now();
     let mut restored = engine
         .restore_file(&path)
         .expect("restore from last checkpoint");
+    let restore_millis = restore_start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(restored.pushed() as usize, last_cut, "replay cursor");
     for event in events.iter().skip(last_cut) {
         let _ = restored.push_event(event.clone()).unwrap();
@@ -193,6 +199,7 @@ fn run_checkpoint_point(
         checkpoint_millis: snapshot.checkpoint_millis,
         wall_seconds,
         overhead_ratio: wall_seconds / baseline_wall.max(1e-9),
+        restore_millis,
         results: outcome.results_count,
         recovered_results,
     }
@@ -291,12 +298,13 @@ fn main() {
         let point = run_checkpoint_point(&builder, &events, every, baseline_wall);
         println!(
             "checkpoint every {:>5}: {:>3} checkpoints, {:>9} B, {:>4} ms serialising, \
-             {:.2}x wall overhead",
+             {:.2}x wall overhead, restore {:.1} ms",
             every,
             point.checkpoints_taken,
             point.checkpoint_bytes,
             point.checkpoint_millis,
             point.overhead_ratio,
+            point.restore_millis,
         );
         if point.results != baseline_results {
             failures.push(format!(

@@ -115,8 +115,19 @@ pub trait Deserialize: Sized {
 
 /// Look up a struct field in an object and deserialise it.
 pub fn field<T: Deserialize>(map: &[(String, Content)], name: &str, ty: &str) -> Result<T, Error> {
+    field_ref(map, name, ty).and_then(T::from_content)
+}
+
+/// Look up a struct field in an object without deserialising it: the
+/// borrowing form of [`field`] for nested blobs, which would otherwise be
+/// deep-cloned by `Content`'s own [`Deserialize`] impl.
+pub fn field_ref<'a>(
+    map: &'a [(String, Content)],
+    name: &str,
+    ty: &str,
+) -> Result<&'a Content, Error> {
     match map.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => T::from_content(v),
+        Some((_, v)) => Ok(v),
         None => Err(Error::msg(format!("missing field `{name}` in {ty}"))),
     }
 }
@@ -398,5 +409,14 @@ mod tests {
         let map = vec![("a".to_string(), Content::U64(1))];
         let err = field::<u64>(&map, "b", "Demo").unwrap_err();
         assert!(err.0.contains("`b`"));
+        let err = field_ref(&map, "b", "Demo").unwrap_err();
+        assert!(err.0.contains("`b`"));
+    }
+
+    #[test]
+    fn field_ref_borrows_the_stored_value() {
+        let map = vec![("a".to_string(), Content::Seq(vec![Content::U64(1)]))];
+        let found = field_ref(&map, "a", "Demo").unwrap();
+        assert!(std::ptr::eq(found, &map[0].1));
     }
 }

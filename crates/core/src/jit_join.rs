@@ -1328,11 +1328,7 @@ impl Operator for JitJoinOperator {
         let map = state
             .as_map()
             .ok_or_else(|| serde::Error::expected("object", TY))?;
-        let sides = |name: &str| -> Result<[Content; 2], serde::Error> {
-            let blob: Content = serde::field(map, name, TY)?;
-            let pair = blob.as_seq_n(2, TY)?;
-            Ok([pair[0].clone(), pair[1].clone()])
-        };
+        let sides = |name| serde::field_ref(map, name, TY)?.as_seq_n(2, TY);
         let states = sides("states")?;
         let mns_buffers = sides("mns_buffers")?;
         let blacklists = sides("blacklists")?;
@@ -1340,7 +1336,8 @@ impl Operator for JitJoinOperator {
         let interval_start = sides("interval_start")?;
         let blooms = sides("blooms")?;
         for side in [LEFT, RIGHT] {
-            self.states[side].restore_checkpoint(&states[side])?;
+            let schema = self.schema_of(side);
+            self.states[side].restore_checkpoint(&states[side], schema)?;
             self.mns_buffers[side].restore_checkpoint(&mns_buffers[side])?;
             self.blacklists[side].restore_checkpoint(&blacklists[side])?;
             self.histories[side] =

@@ -13,10 +13,14 @@
 //!   them; arrivals older than the watermark are dropped and counted, never
 //!   silently reordered past a release.
 //! * **Checkpoint files** — [`write_checkpoint`] / [`read_checkpoint`]: a
-//!   versioned on-disk format (magic header + JSON body over the local
-//!   `serde::Content` model) with typed corruption and version-mismatch
-//!   errors ([`CheckpointError`]), plus [`CheckpointStats`] so callers can
-//!   surface checkpoint size/latency in their metrics.
+//!   versioned on-disk format (magic header line + a compact binary
+//!   encoding of the local `serde::Content` model: tag bytes, LEB128
+//!   lengths and integers, raw float bits, length-prefixed UTF-8) with
+//!   typed errors ([`CheckpointError`]) — any malformed body (truncated,
+//!   unknown tag, trailing bytes, bad UTF-8, oversized length, nesting
+//!   beyond [`MAX_DEPTH`]) is `Corrupt`, another format version is
+//!   `VersionMismatch` — plus [`CheckpointStats`] so callers can surface
+//!   checkpoint size/latency in their metrics.
 //!
 //! What goes *into* a checkpoint body is owned by the layer being
 //! checkpointed (executor, sharded session, serving registry); this crate
@@ -27,5 +31,6 @@ mod reorder;
 
 pub use checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointError, CheckpointStats, FORMAT_VERSION, MAGIC,
+    MAX_DEPTH,
 };
 pub use reorder::{DisorderPolicy, PushOutcome, ReorderBuffer};

@@ -13,10 +13,9 @@ use jit_plan::builder::{build_tree_plan_with, PlanOptions};
 use jit_plan::shapes::PlanShape;
 use jit_runtime::{RuntimeConfig, ShardPartitioner, ShardedRuntime};
 use jit_stream::{Trace, WorkloadSpec};
-use jit_types::{BaseTuple, BatchPolicy, PredicateSet, SourceId, Timestamp, Window};
+use jit_types::{BatchPolicy, PredicateSet, Timestamp, Window};
 use serde::Content;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Typed, defaulted construction of an [`Engine`].
 ///
@@ -423,8 +422,8 @@ impl Engine {
         let last_push_ts: Timestamp = serde::field(map, "last_push_ts", TY).map_err(corrupt)?;
         let ckpt_bytes: u64 = serde::field(map, "ckpt_bytes", TY).map_err(corrupt)?;
         let ckpt_millis: u64 = serde::field(map, "ckpt_millis", TY).map_err(corrupt)?;
-        let disorder_state = serde::field::<Content>(map, "disorder", TY).map_err(corrupt)?;
-        let buffer = match (&disorder_state, self.disorder) {
+        let disorder_state = serde::field_ref(map, "disorder", TY).map_err(corrupt)?;
+        let buffer = match (disorder_state, self.disorder) {
             (Content::Null, DisorderPolicy::Strict) => None,
             (Content::Null, DisorderPolicy::Bounded(_)) => {
                 return Err(EngineError::Checkpoint(CheckpointError::Mismatch(
@@ -442,14 +441,13 @@ impl Engine {
                         "disorder state is not an object".to_string(),
                     ))
                 })?;
-                let control = serde::field::<Content>(dmap, "control", TY).map_err(corrupt)?;
-                let items: Vec<(Timestamp, (SourceId, Arc<BaseTuple>))> =
-                    serde::field(dmap, "items", TY).map_err(corrupt)?;
-                Some(ReorderBuffer::restore(&control, items).map_err(corrupt)?)
+                let control = serde::field_ref(dmap, "control", TY).map_err(corrupt)?;
+                let items = crate::session::decode_buffered(dmap).map_err(corrupt)?;
+                Some(ReorderBuffer::restore(control, items).map_err(corrupt)?)
             }
         };
-        let backend_state = serde::field::<Content>(map, "backend", TY).map_err(corrupt)?;
-        let backend = self.backend(Some(&backend_state))?;
+        let backend_state = serde::field_ref(map, "backend", TY).map_err(corrupt)?;
+        let backend = self.backend(Some(backend_state))?;
         Ok(Session::restored(
             backend,
             pushed,

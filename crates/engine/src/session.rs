@@ -7,7 +7,10 @@ use jit_exec::operator::SuppressionDigest;
 use jit_metrics::MetricsSnapshot;
 use jit_stream::arrival::ArrivalEvent;
 use jit_stream::Trace;
-use jit_types::{BaseTuple, BatchPolicy, BlockBuilder, SourceId, Timestamp, Tuple};
+use jit_types::{
+    decode_tuple_columns, encode_tuple_columns, BaseTuple, BatchPolicy, BlockBuilder, SourceId,
+    Timestamp, Tuple,
+};
 use serde::{Content, Serialize};
 use std::path::Path;
 use std::sync::Arc;
@@ -298,14 +301,19 @@ impl Session {
         let backend_state = self.backend.checkpoint()?;
         let disorder = match &self.disorder {
             None => Content::Null,
-            Some(buffer) => {
-                let items: Vec<(Timestamp, Buffered)> =
-                    buffer.iter().map(|(ts, item)| (ts, item.clone())).collect();
-                Content::Map(vec![
-                    ("control".to_string(), buffer.checkpoint_control()),
-                    ("items".to_string(), items.to_content()),
-                ])
-            }
+            // Each buffered arrival is a base tuple stamped with its release
+            // time; its source is the tuple's own.
+            Some(buffer) => Content::Map(vec![
+                ("control".to_string(), buffer.checkpoint_control()),
+                (
+                    "items".to_string(),
+                    encode_tuple_columns(
+                        buffer
+                            .iter()
+                            .map(|(ts, (_, tuple))| (std::slice::from_ref(tuple), Some(ts))),
+                    ),
+                ),
+            ]),
         };
         Ok(Content::Map(vec![
             ("pushed".to_string(), Content::U64(self.pushed)),
@@ -351,6 +359,24 @@ impl Session {
         self.overlay(&mut outcome.snapshot);
         Ok(outcome)
     }
+}
+
+/// The reorder stage's buffered arrivals from the `disorder` object of a
+/// [`Session::checkpoint`]: each with its release time, the source it
+/// arrived on (its own) and its base tuple.
+pub(crate) fn decode_buffered(
+    dmap: &[(String, Content)],
+) -> Result<Vec<(Timestamp, Buffered)>, serde::Error> {
+    const TY: &str = "Session checkpoint";
+    decode_tuple_columns(serde::field_ref(dmap, "items", TY)?)?
+        .into_iter()
+        .map(|(tuple, ts)| match (tuple.parts(), ts) {
+            ([base], Some(ts)) => Ok((ts, (base.source, base.clone()))),
+            _ => Err(serde::Error::msg(format!(
+                "{TY}: a buffered arrival is not one stamped base tuple"
+            ))),
+        })
+        .collect()
 }
 
 /// Placeholder backend left behind while [`Session::finish`] consumes the

@@ -213,8 +213,8 @@ impl Operator for EddyOperator {
                 self.states.len()
             )));
         }
-        for (own, blob) in self.states.iter_mut().zip(stems) {
-            own.restore_checkpoint(blob)?;
+        for (stem, (own, blob)) in self.states.iter_mut().zip(stems).enumerate() {
+            own.restore_checkpoint(blob, SourceSet::single(SourceId(stem as u16)))?;
         }
         Ok(())
     }

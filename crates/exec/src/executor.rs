@@ -15,7 +15,10 @@ use crate::operator::{
 use crate::plan::{ExecutablePlan, Input, OperatorSlot};
 use crate::scheduler::{Priority, Scheduler, Task, TaskKind};
 use jit_metrics::{CostKind, MemComponentId, MetricsSnapshot, RunMetrics};
-use jit_types::{BaseTuple, Block, FeedbackCommand, SourceId, Timestamp, Tuple};
+use jit_types::{
+    decode_tuple_columns, encode_tuple_columns, BaseTuple, Block, FeedbackCommand, SourceId,
+    Timestamp, Tuple,
+};
 use serde::{Content, Serialize};
 use std::sync::Arc;
 
@@ -532,7 +535,10 @@ impl Executor {
                 "order_violations".to_string(),
                 self.order_violations.to_content(),
             ),
-            ("pending_results".to_string(), self.results.to_content()),
+            (
+                "pending_results".to_string(),
+                encode_tuple_columns(self.results.iter().map(|t| (t.parts(), None))),
+            ),
             (
                 "operators".to_string(),
                 Content::Seq(
@@ -563,8 +569,7 @@ impl Executor {
         let map = content
             .as_map()
             .ok_or_else(|| serde::Error::expected("object", "Executor"))?;
-        let operators = serde::field::<Content>(map, "operators", "Executor")?;
-        let operators = operators
+        let operators = serde::field_ref(map, "operators", "Executor")?
             .as_seq()
             .ok_or_else(|| serde::Error::expected("array", "Executor::operators"))?;
         if operators.len() != self.slots.len() {
@@ -585,14 +590,17 @@ impl Executor {
                     slot.operator.name()
                 )));
             }
-            let state: Content = serde::field(entry, "state", "operator checkpoint")?;
-            slot.operator.restore(&state)?;
+            slot.operator
+                .restore(serde::field_ref(entry, "state", "operator checkpoint")?)?;
         }
         self.current_time = serde::field(map, "current_time", "Executor")?;
         self.last_result_ts = serde::field(map, "last_result_ts", "Executor")?;
         self.results_count = serde::field(map, "results_count", "Executor")?;
         self.order_violations = serde::field(map, "order_violations", "Executor")?;
-        self.results = serde::field(map, "pending_results", "Executor")?;
+        self.results = decode_tuple_columns(serde::field_ref(map, "pending_results", "Executor")?)?
+            .into_iter()
+            .map(|(tuple, _)| tuple)
+            .collect();
         self.sample_memory();
         Ok(())
     }

@@ -297,10 +297,14 @@ impl Operator for RefJoinOperator {
         let map = state
             .as_map()
             .ok_or_else(|| serde::Error::expected("object", "RefJoinOperator"))?;
-        self.left_state
-            .restore_checkpoint(&serde::field::<Content>(map, "left", "RefJoinOperator")?)?;
-        self.right_state
-            .restore_checkpoint(&serde::field::<Content>(map, "right", "RefJoinOperator")?)?;
+        self.left_state.restore_checkpoint(
+            serde::field_ref(map, "left", "RefJoinOperator")?,
+            self.left_schema,
+        )?;
+        self.right_state.restore_checkpoint(
+            serde::field_ref(map, "right", "RefJoinOperator")?,
+            self.right_schema,
+        )?;
         Ok(())
     }
 }

@@ -154,7 +154,7 @@ impl Operator for HalfJoinOperator {
     }
 
     fn restore(&mut self, state: &Content) -> Result<(), serde::Error> {
-        self.state.restore_checkpoint(state)
+        self.state.restore_checkpoint(state, self.state_schema)
     }
 }
 

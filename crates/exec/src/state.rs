@@ -78,8 +78,11 @@
 //! both modes; only the number of candidates a probe examines (the
 //! `probe_pairs` statistic and `CostKind::ProbePair` charge) shrinks.
 
-use jit_types::{ColumnRef, FastMap, PredicateSet, SourceSet, Timestamp, Tuple, Value, Window};
-use serde::{Content, Deserialize, Serialize};
+use jit_types::{
+    decode_tuple_columns, encode_tuple_columns, ColumnRef, FastMap, PredicateSet, SourceSet,
+    Timestamp, Tuple, Value, Window,
+};
+use serde::Content;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -87,7 +90,7 @@ use std::hash::Hash;
 use std::rc::Rc;
 
 /// One tuple stored in an operator state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredTuple {
     /// The stored tuple.
     pub tuple: Tuple,
@@ -694,8 +697,9 @@ impl OperatorState {
     }
 
     /// Serialise the resumable content of the state: the live entries in
-    /// insertion order (tuples plus their original `inserted_at`), tagged
-    /// with the state's name for validation on restore.
+    /// insertion order (tuples plus their original `inserted_at`, in the
+    /// column layout of [`jit_types::encode_tuple_columns`]), tagged with
+    /// the state's name for validation on restore.
     ///
     /// The expiry heap and the hash indexes are deliberately *not*
     /// serialised: both are pure functions of the entries
@@ -707,16 +711,22 @@ impl OperatorState {
             ("name".to_string(), Content::Str(self.name.clone())),
             (
                 "entries".to_string(),
-                Content::Seq(self.iter().map(Serialize::to_content).collect()),
+                encode_tuple_columns(self.iter().map(|e| (e.tuple.parts(), Some(e.inserted_at)))),
             ),
         ])
     }
 
     /// Rebuild the state from a [`OperatorState::checkpoint`] blob. The
     /// state must have been constructed with the same name (plan geometry is
-    /// reconstructed from the query, not the checkpoint); existing entries
+    /// reconstructed from the query, not the checkpoint), and every entry
+    /// must cover exactly `schema`, the sources of the input this state
+    /// stores; on any mismatch the state is left unchanged. Existing entries
     /// are discarded.
-    pub fn restore_checkpoint(&mut self, content: &Content) -> Result<(), serde::Error> {
+    pub fn restore_checkpoint(
+        &mut self,
+        content: &Content,
+        schema: SourceSet,
+    ) -> Result<(), serde::Error> {
         let map = content
             .as_map()
             .ok_or_else(|| serde::Error::expected("object", "OperatorState"))?;
@@ -727,7 +737,20 @@ impl OperatorState {
                 self.name
             )));
         }
-        let entries: Vec<StoredTuple> = serde::field(map, "entries", "OperatorState")?;
+        let entries = decode_tuple_columns(serde::field_ref(map, "entries", "OperatorState")?)?
+            .into_iter()
+            .map(|(tuple, inserted_at)| match inserted_at {
+                Some(inserted_at) if tuple.sources() == schema => {
+                    Ok(StoredTuple { tuple, inserted_at })
+                }
+                Some(_) => Err(serde::Error::msg(format!(
+                    "operator state `{name}` stores {schema} tuples, checkpoint holds {tuple}"
+                ))),
+                None => Err(serde::Error::msg(
+                    "operator state entry without an insertion time",
+                )),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         self.clear();
         for entry in entries {
             self.restore(entry);
@@ -1404,8 +1427,9 @@ mod tests {
         s.restore(drained.into_iter().next().unwrap());
         let blob = s.checkpoint();
 
+        let b = SourceSet::single(SourceId(1));
         let mut r = OperatorState::new("S_B");
-        r.restore_checkpoint(&blob).unwrap();
+        r.restore_checkpoint(&blob, b).unwrap();
         assert_eq!(r.len(), s.len());
         assert_eq!(r.size_bytes(), s.size_bytes());
         let seqs = |state: &OperatorState| -> Vec<u64> {
@@ -1430,7 +1454,14 @@ mod tests {
 
         // A checkpoint for a differently named state is rejected.
         let mut wrong = OperatorState::new("S_A");
-        assert!(wrong.restore_checkpoint(&blob).is_err());
+        assert!(wrong.restore_checkpoint(&blob, b).is_err());
+        // So is one whose entries cover other sources than the state's
+        // input, and the state keeps what it held.
+        let err = r
+            .restore_checkpoint(&blob, SourceSet::single(SourceId(0)))
+            .unwrap_err();
+        assert!(err.0.contains("stores"), "{err}");
+        assert_eq!(seqs(&r), seqs(&s));
     }
 
     #[test]

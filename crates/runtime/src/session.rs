@@ -36,7 +36,7 @@ use jit_exec::plan::{ExecutablePlan, PlanError};
 use jit_metrics::MetricsSnapshot;
 use jit_stream::arrival::ArrivalEvent;
 use jit_stream::{ShardPartitioner, Trace};
-use jit_types::{Timestamp, Tuple};
+use jit_types::{decode_tuple_columns, encode_tuple_columns, Timestamp, Tuple};
 use serde::{Content, Serialize};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -144,9 +144,25 @@ impl ShardedRuntime {
             )));
         }
         let shards = shards as usize;
-        let states = serde::field::<Content>(map, "states", TY).map_err(restore_err)?;
-        let states = states.as_seq_n(shards, TY).map_err(restore_err)?;
-        let buffered: Vec<Vec<Tuple>> = serde::field(map, "buffered", TY).map_err(restore_err)?;
+        let states = serde::field_ref(map, "states", TY)
+            .and_then(|states| states.as_seq_n(shards, TY))
+            .map_err(restore_err)?;
+        let streams = serde::field_ref(map, "buffered", TY)
+            .and_then(|b| {
+                b.as_seq()
+                    .ok_or_else(|| serde::Error::expected("array", TY))
+            })
+            .map_err(restore_err)?;
+        let mut buffered = Vec::with_capacity(streams.len());
+        for stream in streams {
+            let tuples = decode_tuple_columns(stream).map_err(restore_err)?;
+            buffered.push(
+                tuples
+                    .into_iter()
+                    .map(|(t, _)| t)
+                    .collect::<VecDeque<Tuple>>(),
+            );
+        }
         let progress: Vec<Timestamp> = serde::field(map, "progress", TY).map_err(restore_err)?;
         let last_push_ts: Timestamp = serde::field(map, "last_push_ts", TY).map_err(restore_err)?;
         if buffered.len() != shards || progress.len() != shards {
@@ -166,7 +182,7 @@ impl ShardedRuntime {
             executors.push(executor);
         }
         let mut session = self.launch(executors);
-        session.buffered = buffered.into_iter().map(VecDeque::from).collect();
+        session.buffered = buffered;
         session.progress = progress;
         session.last_push_ts = last_push_ts;
         Ok(session)
@@ -503,15 +519,15 @@ impl ShardedSession {
         // INVARIANT: the checkpoint barrier above collected exactly one
         // state chunk per shard.
         let states: Vec<Content> = states.into_iter().map(|s| s.expect("barrier")).collect();
-        let buffered: Vec<Vec<Tuple>> = self
+        let buffered = self
             .buffered
             .iter()
-            .map(|b| b.iter().cloned().collect())
+            .map(|b| encode_tuple_columns(b.iter().map(|t| (t.parts(), None))))
             .collect();
         Ok(Content::Map(vec![
             ("shards".to_string(), Content::U64(shards as u64)),
             ("states".to_string(), Content::Seq(states)),
-            ("buffered".to_string(), buffered.to_content()),
+            ("buffered".to_string(), Content::Seq(buffered)),
             ("progress".to_string(), self.progress.to_content()),
             ("last_push_ts".to_string(), self.last_push_ts.to_content()),
         ]))

@@ -10,10 +10,10 @@ use jit_plan::canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
 use jit_plan::cql::CqlError;
 use jit_runtime::RuntimeConfig;
 use jit_types::{
-    BaseTuple, BatchPolicy, Catalog, ColumnRef, FastMap, Signature, SourceId, Timestamp, Tuple,
-    Value, Window,
+    decode_tuple_columns, encode_tuple_columns, BaseTuple, BatchPolicy, Catalog, ColumnRef,
+    FastMap, Signature, SourceId, SourceSet, Timestamp, Tuple, Value, Window,
 };
-use serde::{Content, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Handle to one registered query, unique for the registry's lifetime
@@ -745,12 +745,17 @@ impl QueryRegistry {
             let state = self.stems.peek(&key).expect("acquired stem");
             stem_states.push(state.borrow().checkpoint());
         }
-        let mut mailboxes: Vec<(u64, Vec<Tuple>)> = self
-            .mailboxes
-            .iter()
-            .map(|(qid, tuples)| (qid.0, tuples.clone()))
+        let mut mailboxes: Vec<(&QueryId, &Vec<Tuple>)> = self.mailboxes.iter().collect();
+        mailboxes.sort_by_key(|(qid, _)| qid.0);
+        let mailboxes = mailboxes
+            .into_iter()
+            .map(|(qid, tuples)| {
+                Content::Seq(vec![
+                    Content::U64(qid.0),
+                    encode_tuple_columns(tuples.iter().map(|t| (t.parts(), None))),
+                ])
+            })
             .collect();
-        mailboxes.sort_by_key(|(qid, _)| *qid);
         let mut seqs: Vec<(SourceId, u64)> = self.seqs.iter().map(|(s, n)| (*s, *n)).collect();
         seqs.sort_by_key(|(s, _)| *s);
         Ok(Content::Map(vec![
@@ -758,7 +763,7 @@ impl QueryRegistry {
             ("last_push_ts".to_string(), self.last_push_ts.to_content()),
             ("pipelines".to_string(), Content::Seq(pipelines)),
             ("stems".to_string(), Content::Seq(stem_states)),
-            ("mailboxes".to_string(), mailboxes.to_content()),
+            ("mailboxes".to_string(), Content::Seq(mailboxes)),
             ("seqs".to_string(), seqs.to_content()),
             (
                 "stats".to_string(),
@@ -808,9 +813,8 @@ impl QueryRegistry {
                 self.next_query
             )));
         }
-        let blobs = serde::field::<Content>(map, "pipelines", TY).map_err(corrupt)?;
-        let blobs = match &blobs {
-            Content::Seq(items) if items.len() == self.pipelines.len() => items.clone(),
+        let blobs = match serde::field_ref(map, "pipelines", TY).map_err(corrupt)? {
+            Content::Seq(items) if items.len() == self.pipelines.len() => items,
             Content::Seq(items) => {
                 return Err(mismatch(format!(
                     "checkpoint holds {} pipeline slots, registry has {}",
@@ -823,7 +827,7 @@ impl QueryRegistry {
         // Rebuild every live pipeline's session before touching anything,
         // so a failing slot leaves the registry unchanged.
         let mut sessions: Vec<Option<Session>> = Vec::with_capacity(blobs.len());
-        for (idx, (slot, blob)) in self.pipelines.iter().zip(&blobs).enumerate() {
+        for (idx, (slot, blob)) in self.pipelines.iter().zip(blobs).enumerate() {
             match (slot, blob) {
                 (None, Content::Null) => sessions.push(None),
                 (Some(pipeline), blob) if !matches!(blob, Content::Null) => {
@@ -837,16 +841,17 @@ impl QueryRegistry {
                 }
             }
         }
-        let stem_blobs = serde::field::<Content>(map, "stems", TY).map_err(corrupt)?;
         let stem_order = self.stem_key_order();
-        let stem_blobs = stem_blobs.as_seq_n(stem_order.len(), TY).map_err(corrupt)?;
+        let stem_blobs = serde::field_ref(map, "stems", TY)
+            .and_then(|stems| stems.as_seq_n(stem_order.len(), TY))
+            .map_err(corrupt)?;
         for (key, blob) in stem_order.iter().zip(stem_blobs.iter()) {
             // INVARIANT: stem_key_order() lists only keys currently holding
             // an acquire() refcount.
             let state = self.stems.peek(key).expect("acquired stem");
             state
                 .borrow_mut()
-                .restore_checkpoint(blob)
+                .restore_checkpoint(blob, SourceSet::single(key.0))
                 .map_err(corrupt)?;
         }
         for (slot, session) in self.pipelines.iter_mut().zip(sessions) {
@@ -854,20 +859,27 @@ impl QueryRegistry {
                 pipeline.session = session;
             }
         }
-        let mailboxes: Vec<(u64, Vec<Tuple>)> =
-            serde::field(map, "mailboxes", TY).map_err(corrupt)?;
-        for (qid, tuples) in mailboxes {
+        let mailboxes = serde::field_ref(map, "mailboxes", TY)
+            .and_then(|m| {
+                m.as_seq()
+                    .ok_or_else(|| serde::Error::expected("array", TY))
+            })
+            .map_err(corrupt)?;
+        for mailbox in mailboxes {
+            let pair = mailbox.as_seq_n(2, TY).map_err(corrupt)?;
+            let qid = u64::from_content(&pair[0]).map_err(corrupt)?;
+            let tuples = decode_tuple_columns(&pair[1]).map_err(corrupt)?;
             let slot = self
                 .mailboxes
                 .get_mut(&QueryId(qid))
                 .ok_or_else(|| mismatch(format!("checkpoint mailbox for unknown query Q{qid}")))?;
-            *slot = tuples;
+            *slot = tuples.into_iter().map(|(t, _)| t).collect();
         }
         let seqs: Vec<(SourceId, u64)> = serde::field(map, "seqs", TY).map_err(corrupt)?;
         self.seqs = seqs.into_iter().collect();
         self.last_push_ts = serde::field(map, "last_push_ts", TY).map_err(corrupt)?;
-        let stats = serde::field::<Content>(map, "stats", TY).map_err(corrupt)?;
-        let stats_map = stats
+        let stats_map = serde::field_ref(map, "stats", TY)
+            .map_err(corrupt)?
             .as_map()
             .ok_or_else(|| mismatch("stats is not an object".to_string()))?;
         self.stats = SharingStats {

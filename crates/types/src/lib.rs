@@ -53,5 +53,5 @@ pub use predicate::{CompareOp, EquiPredicate, FilterPredicate, PredicateSet};
 pub use schema::{Catalog, ColumnRef, SourceId, SourceSchema, SourceSet};
 pub use signature::Signature;
 pub use timestamp::{Duration, Timestamp, Window};
-pub use tuple::{BaseTuple, Tuple, TupleKey};
+pub use tuple::{decode_tuple_columns, encode_tuple_columns, BaseTuple, Tuple, TupleKey};
 pub use value::Value;

@@ -15,7 +15,7 @@ use crate::schema::{ColumnRef, SourceId, SourceSet};
 use crate::timestamp::Timestamp;
 use crate::value::Value;
 use crate::TypeError;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -388,6 +388,143 @@ impl From<BaseTuple> for Tuple {
     }
 }
 
+/// Column-encode a list of tuples for a checkpoint body.
+///
+/// Each entry is a tuple's components (its [`Tuple::parts`], or a
+/// one-element slice for a bare base tuple) plus an optional timestamp the
+/// caller keeps per entry (an insertion time, a release time). Instead of
+/// one nested object per tuple, the list becomes seven flat columns of
+/// scalars:
+///
+/// * `parts` and `stamp` — one per entry: its component count, and its
+///   timestamp or `Null`;
+/// * `source`, `seq`, `ts` and `arity` — one per component, entries in
+///   order;
+/// * `values` — every component's values, concatenated (`Null`, an
+///   integer, or a string).
+///
+/// [`decode_tuple_columns`] rebuilds the list.
+pub fn encode_tuple_columns<'a>(
+    entries: impl IntoIterator<Item = (&'a [Arc<BaseTuple>], Option<Timestamp>)>,
+) -> Content {
+    let (mut parts, mut stamp) = (Vec::new(), Vec::new());
+    let (mut source, mut seq, mut ts, mut arity) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut values = Vec::new();
+    for (components, entry_stamp) in entries {
+        parts.push(Content::U64(components.len() as u64));
+        stamp.push(entry_stamp.map_or(Content::Null, |t| Content::U64(t.0)));
+        for base in components {
+            source.push(Content::U64(u64::from(base.source.0)));
+            seq.push(Content::U64(base.seq));
+            ts.push(Content::U64(base.ts.0));
+            arity.push(Content::U64(base.values.len() as u64));
+            values.extend(base.values.iter().map(|v| match v {
+                Value::Null => Content::Null,
+                Value::Int(i) => i.to_content(),
+                Value::Str(s) => Content::Str(s.to_string()),
+            }));
+        }
+    }
+    Content::Map(vec![
+        ("parts".to_string(), Content::Seq(parts)),
+        ("stamp".to_string(), Content::Seq(stamp)),
+        ("source".to_string(), Content::Seq(source)),
+        ("seq".to_string(), Content::Seq(seq)),
+        ("ts".to_string(), Content::Seq(ts)),
+        ("arity".to_string(), Content::Seq(arity)),
+        ("values".to_string(), Content::Seq(values)),
+    ])
+}
+
+/// Rebuild a tuple list from [`encode_tuple_columns`]: each tuple with its
+/// per-entry timestamp (`None` where the entry had none).
+///
+/// Every inconsistency — a missing or ragged column, counts that overrun
+/// or underrun the component and value columns, an out-of-range source id,
+/// two components from one source — is a typed [`serde::Error`].
+pub fn decode_tuple_columns(
+    content: &Content,
+) -> Result<Vec<(Tuple, Option<Timestamp>)>, serde::Error> {
+    const TY: &str = "tuple columns";
+    let map = content
+        .as_map()
+        .ok_or_else(|| serde::Error::expected("object", TY))?;
+    let column = |name: &str| {
+        serde::field_ref(map, name, TY)?
+            .as_seq()
+            .ok_or_else(|| serde::Error::expected("array", name))
+    };
+    let (parts, stamps) = (column("parts")?, column("stamp")?);
+    let (sources, seqs, tss, arities) = (
+        column("source")?,
+        column("seq")?,
+        column("ts")?,
+        column("arity")?,
+    );
+    let values = column("values")?;
+    let components = sources.len();
+    if stamps.len() != parts.len() || [seqs.len(), tss.len(), arities.len()] != [components; 3] {
+        return Err(serde::Error::msg(format!("{TY}: ragged columns")));
+    }
+    let mut out = Vec::with_capacity(parts.len());
+    let (mut next_part, mut next_value) = (0usize, 0usize);
+    for (count, stamp) in parts.iter().zip(stamps) {
+        let count = usize::from_content(count)?;
+        if count > components - next_part {
+            return Err(serde::Error::msg(format!(
+                "{TY}: part counts overrun the {components} components"
+            )));
+        }
+        let mut tuple_parts = Vec::with_capacity(count);
+        for i in next_part..next_part + count {
+            let source = u16::from_content(&sources[i])?;
+            if usize::from(source) >= SourceSet::MAX_SOURCES {
+                return Err(serde::Error::msg(format!(
+                    "{TY}: source id {source} is out of range"
+                )));
+            }
+            let arity = usize::from_content(&arities[i])?;
+            if arity > values.len() - next_value {
+                return Err(serde::Error::msg(format!(
+                    "{TY}: arities overrun the {} values",
+                    values.len()
+                )));
+            }
+            let row = values[next_value..next_value + arity]
+                .iter()
+                .map(|v| match v {
+                    Content::Null => Ok(Value::Null),
+                    Content::Str(s) => Ok(Value::str(s.as_str())),
+                    other => i64::from_content(other).map(Value::Int),
+                })
+                .collect::<Result<Vec<Value>, _>>()?;
+            next_value += arity;
+            tuple_parts.push(Arc::new(BaseTuple::new(
+                SourceId(source),
+                u64::from_content(&seqs[i])?,
+                Timestamp(u64::from_content(&tss[i])?),
+                row,
+            )));
+        }
+        next_part += count;
+        let tuple =
+            Tuple::from_parts(tuple_parts).map_err(|e| serde::Error::msg(format!("{TY}: {e}")))?;
+        let stamp = match stamp {
+            Content::Null => None,
+            other => Some(Timestamp(u64::from_content(other)?)),
+        };
+        out.push((tuple, stamp));
+    }
+    if next_part != components || next_value != values.len() {
+        return Err(serde::Error::msg(format!(
+            "{TY}: {} components and {} values left over",
+            components - next_part,
+            values.len() - next_value
+        )));
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,5 +672,92 @@ mod tests {
         let ab = a.join(&b).unwrap();
         assert!(ab.size_bytes() > a.size_bytes());
         assert!(ab.size_bytes() > b.size_bytes());
+    }
+
+    fn sample_list() -> Vec<(Tuple, Option<Timestamp>)> {
+        let mixed = Arc::new(BaseTuple::new(
+            SourceId(2),
+            4,
+            Timestamp::from_millis(70),
+            vec![
+                Value::Null,
+                Value::int(-3),
+                Value::str("x⋈y"),
+                Value::str(""),
+            ],
+        ));
+        let a = Tuple::from_base(base(0, 1, 100, &[1, i64::MIN]));
+        let b = Tuple::from_base(base(1, 9, 50, &[i64::MAX]));
+        let abc = a
+            .join(&b)
+            .unwrap()
+            .join(&Tuple::from_base(mixed.clone()))
+            .unwrap();
+        vec![
+            (a, Some(Timestamp::from_millis(100))),
+            (abc, None),
+            (Tuple::empty(), Some(Timestamp::MAX)),
+            (Tuple::from_base(mixed), Some(Timestamp::ZERO)),
+            (Tuple::from_base(base(3, 0, 0, &[])), None),
+        ]
+    }
+
+    fn encode_list(list: &[(Tuple, Option<Timestamp>)]) -> Content {
+        encode_tuple_columns(list.iter().map(|(t, stamp)| (t.parts(), *stamp)))
+    }
+
+    #[test]
+    fn tuple_columns_round_trip() {
+        let list = sample_list();
+        let encoded = encode_list(&list);
+        assert_eq!(encoded, encode_list(&list), "encoding is deterministic");
+        let back = decode_tuple_columns(&encoded).unwrap();
+        assert_eq!(back, list);
+        for ((t, _), (u, _)) in back.iter().zip(&list) {
+            assert_eq!((t.sources(), t.ts()), (u.sources(), u.ts()));
+        }
+        let empty = encode_tuple_columns(std::iter::empty());
+        assert_eq!(decode_tuple_columns(&empty).unwrap(), Vec::new());
+    }
+
+    fn with_column(content: &Content, name: &str, column: Vec<Content>) -> Content {
+        let mut map = content.as_map().unwrap().to_vec();
+        map.iter_mut().find(|(k, _)| k == name).unwrap().1 = Content::Seq(column);
+        Content::Map(map)
+    }
+
+    #[test]
+    fn malformed_tuple_columns_are_typed_errors() {
+        let list = vec![(Tuple::from_base(base(0, 1, 100, &[1, 2])), None)];
+        let good = encode_list(&list);
+        let u = Content::U64;
+        let cases = [
+            (with_column(&good, "parts", vec![u(2)]), "overrun"),
+            (with_column(&good, "parts", vec![u(0)]), "left over"),
+            (with_column(&good, "stamp", vec![]), "ragged"),
+            (with_column(&good, "ts", vec![u(1), u(2)]), "ragged"),
+            (with_column(&good, "arity", vec![u(3)]), "overrun"),
+            (with_column(&good, "arity", vec![u(1)]), "left over"),
+            (with_column(&good, "source", vec![u(64)]), "out of range"),
+            (with_column(&good, "source", vec![u(1 << 20)]), "in-range"),
+            (
+                with_column(&good, "values", vec![u(1), Content::Bool(true)]),
+                "integer",
+            ),
+            (
+                with_column(&good, "stamp", vec![Content::Str("x".into())]),
+                "unsigned",
+            ),
+            (Content::Map(vec![]), "missing field `parts`"),
+            (Content::Null, "object"),
+        ];
+        for (content, needle) in cases {
+            let err = decode_tuple_columns(&content).unwrap_err();
+            assert!(err.0.contains(needle), "`{err}` lacks `{needle}`");
+        }
+        // Two components from one source.
+        let twice =
+            encode_tuple_columns([(&[base(0, 1, 100, &[1]), base(0, 2, 100, &[1])][..], None)]);
+        assert!(decode_tuple_columns(&twice).is_err());
     }
 }

@@ -223,25 +223,39 @@ fn corrupted_and_mismatched_checkpoint_files_are_typed_errors() {
     std::fs::write(&path, "JITDSMS-CHECKPOINT v99\n{}").unwrap();
     match engine.restore_file(&path) {
         Err(EngineError::Checkpoint(CheckpointError::VersionMismatch { found, supported })) => {
-            assert_eq!((found, supported), (99, 1));
+            assert_eq!((found, supported), (99, 2));
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
 
-    // Valid header, truncated body.
-    std::fs::write(&path, "JITDSMS-CHECKPOINT v1\n{\"pushed\": 3,").unwrap();
+    // A file of the retired JSON-bodied format is a version mismatch, not
+    // a body to reinterpret.
+    std::fs::write(&path, "JITDSMS-CHECKPOINT v1\n{\"pushed\": 3}").unwrap();
     assert!(matches!(
         engine.restore_file(&path),
-        Err(EngineError::Checkpoint(CheckpointError::Corrupt(_)))
+        Err(EngineError::Checkpoint(CheckpointError::VersionMismatch {
+            found: 1,
+            ..
+        }))
     ));
 
-    // A checkpoint from a strict engine cannot restore into a bounded one.
+    // Valid header, truncated body: a real checkpoint cut short.
     let trace = WorkloadGenerator::generate(&spec);
     let mut session = engine.session().unwrap();
     for event in trace.iter().take(20) {
         let _ = session.push_event(event.clone()).unwrap();
     }
     session.checkpoint_to(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let truncated = ckpt_path("truncated");
+    std::fs::write(&truncated, &bytes[..bytes.len() - 3]).unwrap();
+    assert!(matches!(
+        engine.restore_file(&truncated),
+        Err(EngineError::Checkpoint(CheckpointError::Corrupt(_)))
+    ));
+    std::fs::remove_file(&truncated).ok();
+
+    // A checkpoint from a strict engine cannot restore into a bounded one.
     let bounded = builder
         .disorder(DisorderPolicy::Bounded(Duration::from_secs(1)))
         .build()
