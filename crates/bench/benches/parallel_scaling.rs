@@ -7,11 +7,12 @@
 //! A summary of per-shard load balance is printed once so the scaling
 //! numbers can be read in context.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use jit_bench::BENCH_SEED;
 use jit_core::policy::{ExecutionMode, JitPolicy};
+use jit_engine::Engine;
 use jit_exec::executor::ExecutorConfig;
-use jit_harness::parallel::{parallel_workload, run_parallel_trace};
+use jit_harness::parallel::parallel_workload;
 use jit_plan::shapes::PlanShape;
 use jit_runtime::RuntimeConfig;
 use jit_stream::WorkloadGenerator;
@@ -30,9 +31,17 @@ fn bench(c: &mut Criterion) {
         .with_seed(BENCH_SEED);
     let shape = PlanShape::bushy(4);
     let trace = WorkloadGenerator::generate(&spec);
-    let exec_config = ExecutorConfig {
-        collect_results: false,
-        check_temporal_order: false,
+    let engine = |mode: ExecutionMode, shards: usize| {
+        Engine::builder()
+            .workload(&spec, &shape)
+            .mode(mode)
+            .executor_config(ExecutorConfig {
+                collect_results: false,
+                check_temporal_order: false,
+            })
+            .sharded(RuntimeConfig::with_shards(shards))
+            .build()
+            .expect("plan builds")
     };
 
     // Scaling numbers only mean something relative to the cores actually
@@ -43,30 +52,18 @@ fn bench(c: &mut Criterion) {
 
     // One untimed pass per shard count: print load balance and check that
     // every configuration agrees on the result count.
-    let reference = run_parallel_trace(
-        &trace,
-        &spec,
-        &shape,
-        ExecutionMode::Ref,
-        exec_config.clone(),
-        RuntimeConfig::with_shards(1),
-    )
-    .expect("plan builds");
+    let reference = engine(ExecutionMode::Ref, 1)
+        .run_trace(&trace)
+        .expect("run succeeds");
     println!(
         "parallel_scaling: {} arrivals, {} results, {cores} core(s) available",
         trace.len(),
         reference.results_count
     );
     for shards in SHARD_COUNTS {
-        let outcome = run_parallel_trace(
-            &trace,
-            &spec,
-            &shape,
-            ExecutionMode::Ref,
-            exec_config.clone(),
-            RuntimeConfig::with_shards(shards),
-        )
-        .expect("plan builds");
+        let outcome = engine(ExecutionMode::Ref, shards)
+            .run_trace(&trace)
+            .expect("run succeeds");
         assert_eq!(
             outcome.results_count, reference.results_count,
             "sharding must not change the result count"
@@ -90,22 +87,9 @@ fn bench(c: &mut Criterion) {
         ("JIT", ExecutionMode::Jit(JitPolicy::full())),
     ] {
         for shards in SHARD_COUNTS {
+            let engine = engine(mode, shards);
             group.bench_function(format!("{mode_label}/shards={shards}"), |b| {
-                b.iter_batched(
-                    || trace.clone(),
-                    |t| {
-                        run_parallel_trace(
-                            &t,
-                            &spec,
-                            &shape,
-                            mode,
-                            exec_config.clone(),
-                            RuntimeConfig::with_shards(shards),
-                        )
-                        .expect("plan builds")
-                    },
-                    BatchSize::LargeInput,
-                )
+                b.iter(|| engine.run_trace(&trace).expect("run succeeds"))
             });
         }
     }

@@ -1,8 +1,8 @@
 //! # jit-bench
 //!
 //! Benchmark harness support: shared helpers used by the Criterion benches
-//! (one per figure of the paper) and by the `run_figures` binary that
-//! regenerates all tables/series in one go.
+//! (one `figures` bench with a group per figure of the paper) and by the
+//! `run_figures` binary that regenerates all tables/series in one go.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -19,12 +19,11 @@ use std::path::Path;
 
 /// Typed, defaulted construction of an [`Engine`].
 ///
-/// Replaces the positional-argument sprawl of the historical entry points
-/// (`QueryRuntime::run`, `run_parallel`, `run_parallel_trace`): the query
-/// comes in as CQL *or* as a plan shape + predicates, the execution mode and
-/// executor knobs default sensibly, and a single [`EngineBuilder::sharded`]
-/// call switches the same program from the single-threaded executor to the
-/// hash-partitioned multi-core runtime.
+/// The one way to run a query: the query comes in as CQL *or* as a plan
+/// shape + predicates, the execution mode and executor knobs default
+/// sensibly, and a single [`EngineBuilder::sharded`] call switches the same
+/// program from the single-threaded executor to the hash-partitioned
+/// multi-core runtime.
 ///
 /// Every input is validated at [`EngineBuilder::build`] time with a typed
 /// [`EngineError`] — including the key-partitionability of the workload when

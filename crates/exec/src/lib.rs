@@ -19,8 +19,6 @@
 //!   paper compares against.
 //! * [`selection::SelectionOperator`], [`static_join::StaticJoinOperator`] —
 //!   the additional consumer types of Section V.
-//! * [`mjoin`] and [`eddy`] — the alternative plan architectures of
-//!   Figure 2 (M-Join paths and the Eddy/STeM design).
 //! * [`plan`] — executable plan graphs wiring operators to sources and to
 //!   each other.
 //! * [`scheduler`] — the priority task scheduler implementing the policies
@@ -37,10 +35,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod eddy;
 pub mod executor;
 pub mod join;
-pub mod mjoin;
 pub mod operator;
 pub mod output;
 pub mod plan;

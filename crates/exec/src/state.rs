@@ -26,9 +26,9 @@
 //! construction: the first probe with a new [`JoinKeySpec`] builds the index
 //! for it by one scan of the live entries, and every later insertion
 //! maintains all existing indexes incrementally. This is the "build exactly
-//! the index the workload needs" discipline — an Eddy STeM probed by
-//! composite tuples of varying shape simply accretes one small index per
-//! shape it encounters. The state transparently falls back to a full scan
+//! the index the workload needs" discipline — a state probed with several
+//! distinct key shapes simply accretes one small index per shape it
+//! encounters. The state transparently falls back to a full scan
 //! whenever hashing cannot answer the probe exactly:
 //!
 //! * the spec is empty (no equi-join predicate spans the two inputs, e.g. a

@@ -73,6 +73,18 @@ impl ExperimentConfig {
     }
 }
 
+/// Parse a duration scale given on a command line (see
+/// [`ExperimentConfig::with_duration_scale`]): a finite number above zero.
+/// Anything else is an error, not a silently clamped one-minute run.
+pub fn parse_duration_scale(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "invalid duration scale {text:?}: expected a finite number > 0"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,9 @@
 //! # jit-plan
 //!
-//! Query-plan construction and the end-to-end query runtime.
+//! Query-plan construction.
 //!
 //! * [`shapes`] — the plan shapes of Table II (bushy and left-deep binary
-//!   join trees for `N = 3..8`), plus M-Join and Eddy alternatives.
+//!   join trees for `N = 3..8`).
 //! * [`builder`] — turns a shape + predicates + window + execution mode
 //!   (REF / DOE / JIT) into an executable plan of `jit-exec` operators.
 //! * [`cql`] — a small CQL-subset parser for queries like the one in
@@ -12,10 +12,9 @@
 //!   normalizes it to a hashable [`canonical::CanonicalKey`], so a
 //!   multi-query serving tier can detect queries that denote the same
 //!   computation and share one pipeline between them.
-//! * [`runtime`] — [`runtime::QueryRuntime`] generates (or accepts) an
-//!   arrival trace and drives it through the plan, returning results and a
-//!   metrics snapshot; this is the entry point examples, tests and the
-//!   experiment harness all share.
+//!
+//! Plans are run through `jit_engine::Engine`, which builds them with
+//! [`builder::build_tree_plan_with`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,14 +22,9 @@
 pub mod builder;
 pub mod canonical;
 pub mod cql;
-pub mod runtime;
 pub mod shapes;
 
-pub use builder::{
-    build_eddy_plan, build_eddy_plan_with, build_mjoin_plan, build_mjoin_plan_with,
-    build_tree_plan, build_tree_plan_with, PlanOptions,
-};
+pub use builder::{build_tree_plan, build_tree_plan_with, PlanOptions};
 pub use canonical::{CanonicalKey, CanonicalQuery, FilterTerm};
 pub use cql::{parse_cql, CqlQuery};
-pub use runtime::{QueryRuntime, RunOutcome};
 pub use shapes::{JoinNode, PlanInput, PlanShape, TreeShape};

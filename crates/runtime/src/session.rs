@@ -1,10 +1,10 @@
 //! Push-based sharded execution: long-lived worker threads fed one arrival
 //! at a time.
 //!
-//! [`ShardedSession`] is the online counterpart of the one-shot
-//! [`ShardedRuntime::run`]: the workers are spawned up front (each with its
-//! own plan instance, built on the caller's thread and *moved* to the
-//! worker), and the caller then pushes arrivals incrementally. Ingestion
+//! [`ShardedRuntime::start`] opens a [`ShardedSession`]: the workers are
+//! spawned up front (each with its own plan instance, built on the caller's
+//! thread and *moved* to the worker), and the caller then pushes arrivals
+//! incrementally. Ingestion
 //! keeps the PR-1 batching/backpressure semantics — arrivals are grouped
 //! into `batch_size` batches per shard and sent over a *bounded* channel, so
 //! a slow shard blocks the pusher instead of queueing unboundedly.
@@ -25,9 +25,9 @@
 //!
 //! [`ShardedSession::finish`] flushes pending batches, closes the channels
 //! (each worker then runs the end-of-stream flush of `Executor::finish`),
-//! joins the workers and returns the same [`ParallelOutcome`] as the
-//! one-shot path — minus any results already handed out through
-//! `poll_results`, which are never duplicated.
+//! joins the workers and returns the merged [`ParallelOutcome`] — minus any
+//! results already handed out through `poll_results`, which are never
+//! duplicated.
 
 use crate::merge::merge_by_timestamp;
 use crate::sharded::{panic_message, ParallelOutcome, RuntimeError, ShardOutcome, ShardedRuntime};
@@ -411,8 +411,8 @@ impl ShardedSession {
     /// Returns the newly released results (empty when `collect_results` is
     /// off or nothing has been confirmed past the watermark yet). Across the
     /// lifetime of the session, the concatenation of all polls followed by
-    /// the final outcome's results is the same merged stream a one-shot
-    /// [`ShardedRuntime::run`] produces.
+    /// the final outcome's results is the same merged stream a session that
+    /// never polls returns from [`ShardedSession::finish`].
     ///
     /// Release is *strictly below* the watermark: pushes at exactly the
     /// watermark timestamp are still legal (the contract is non-decreasing,
@@ -667,26 +667,94 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn pushed_session_matches_one_shot_run() {
-        let trace = Trace::new((0..300).map(event).collect());
-        let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(3).with_batch_size(16));
-        let one_shot = runtime
-            .run(&trace, ExecutorConfig::default(), |_| forward_plan())
+    fn trace(n: u64) -> Trace {
+        Trace::new((0..n).map(event).collect())
+    }
+
+    /// Start a session, push the whole trace, and finish.
+    fn run(config: RuntimeConfig, trace: &Trace, exec_config: ExecutorConfig) -> ParallelOutcome {
+        let mut live = ShardedRuntime::new(config)
+            .start(exec_config, |_| forward_plan())
             .unwrap();
-        let mut live = runtime
+        live.push_trace(trace);
+        live.finish().unwrap()
+    }
+
+    #[test]
+    fn pushing_one_by_one_matches_pushing_the_trace() {
+        let trace = trace(300);
+        let config = RuntimeConfig::with_shards(3).with_batch_size(16);
+        let whole = run(config.clone(), &trace, ExecutorConfig::default());
+        let mut live = ShardedRuntime::new(config)
             .start(ExecutorConfig::default(), |_| forward_plan())
             .unwrap();
-        live.push_trace(&trace);
+        for e in trace.iter() {
+            live.push(e.clone());
+        }
         let outcome = live.finish().unwrap();
-        assert_eq!(outcome.results_count, one_shot.results_count);
+        assert_eq!(outcome.results_count, whole.results_count);
         let keys = |r: &[Tuple]| r.iter().map(|t| t.key()).collect::<Vec<_>>();
-        assert_eq!(keys(&outcome.results), keys(&one_shot.results));
+        assert_eq!(keys(&outcome.results), keys(&whole.results));
+    }
+
+    #[test]
+    fn all_arrivals_reach_exactly_one_shard() {
+        let config = RuntimeConfig::with_shards(4)
+            .with_batch_size(8)
+            .with_channel_capacity(2);
+        let outcome = run(config, &trace(500), ExecutorConfig::default());
+        assert_eq!(outcome.results_count, 500);
+        assert_eq!(outcome.results.len(), 500);
+        assert_eq!(outcome.snapshot.stats.tuples_arrived, 500);
+        let per_shard_total: u64 = outcome.per_shard.iter().map(|s| s.arrivals).sum();
+        assert_eq!(per_shard_total, 500);
+        assert_eq!(outcome.order_violations, 0);
+        // The merged stream is globally timestamp-ordered.
+        assert!(outcome.results.windows(2).all(|w| w[0].ts() <= w[1].ts()));
+        // With 500 distinct keys over 4 shards, no shard should dominate.
+        assert!(outcome.max_shard_load() < 0.5);
+    }
+
+    #[test]
+    fn tiny_channel_exerts_backpressure_without_loss() {
+        // channel_capacity 1 and batch_size 1: the feeder blocks constantly,
+        // yet every arrival must still come through exactly once.
+        let config = RuntimeConfig::with_shards(2)
+            .with_batch_size(1)
+            .with_channel_capacity(1);
+        let outcome = run(config, &trace(300), ExecutorConfig::default());
+        assert_eq!(outcome.results_count, 300);
+    }
+
+    #[test]
+    fn single_shard_degenerates_to_sequential() {
+        let outcome = run(
+            RuntimeConfig::with_shards(1),
+            &trace(50),
+            ExecutorConfig::default(),
+        );
+        assert_eq!(outcome.per_shard.len(), 1);
+        assert_eq!(outcome.per_shard[0].arrivals, 50);
+        assert_eq!(outcome.results_count, 50);
+    }
+
+    #[test]
+    fn results_collection_can_be_disabled() {
+        let outcome = run(
+            RuntimeConfig::with_shards(2),
+            &trace(80),
+            ExecutorConfig {
+                collect_results: false,
+                check_temporal_order: true,
+            },
+        );
+        assert!(outcome.results.is_empty());
+        assert_eq!(outcome.results_count, 80);
     }
 
     #[test]
     fn polls_release_a_prefix_of_the_merged_stream_exactly_once() {
-        let trace = Trace::new((0..400).map(event).collect());
+        let trace = trace(400);
         let mut live = session(4, 8);
         let mut polled = Vec::new();
         for (i, e) in trace.iter().enumerate() {

@@ -1,8 +1,9 @@
 //! The sharded parallel runtime.
 //!
-//! [`ShardedRuntime::run`] hash-partitions a trace's join-key space over `N`
-//! shards, runs one independent [`Executor`](jit_exec::executor::Executor)
-//! per shard on its own OS thread
+//! [`ShardedRuntime::start`] opens a [`ShardedSession`](crate::ShardedSession)
+//! that hash-partitions the join-key space over `N` shards, runs one
+//! independent [`Executor`](jit_exec::executor::Executor) per shard on its
+//! own OS thread
 //! (each with its own instance of the plan, built by a caller-supplied
 //! factory), feeds every shard through a *bounded* MPSC channel in batches
 //! (a full channel blocks the feeder — backpressure instead of unbounded
@@ -24,10 +25,9 @@
 //! the merge exactly as it does on a single executor.
 
 use crate::config::RuntimeConfig;
-use jit_exec::executor::ExecutorConfig;
-use jit_exec::plan::{ExecutablePlan, PlanError};
+use jit_exec::plan::PlanError;
 use jit_metrics::MetricsSnapshot;
-use jit_stream::{ShardPartitioner, Trace};
+use jit_stream::ShardPartitioner;
 use jit_types::Tuple;
 use std::fmt;
 
@@ -163,32 +163,6 @@ impl ShardedRuntime {
     pub fn partitioner(&self) -> &ShardPartitioner {
         &self.partitioner
     }
-
-    /// Execute `trace` across the shards: the one-shot convenience over
-    /// [`ShardedRuntime::start`] — spawn a push-based session, replay the
-    /// whole trace through it, and close it.
-    ///
-    /// `plan_factory` is called once per shard (with the shard index, on the
-    /// calling thread) and must build a fresh, independent instance of the
-    /// plan — operators are stateful, so shards cannot share one.
-    ///
-    /// The calling thread acts as the feeder: it walks the trace in replay
-    /// order, assigns each arrival to its shard, and sends batches of
-    /// `batch_size` arrivals over each shard's bounded channel, blocking
-    /// when a shard's channel is full (backpressure).
-    pub fn run<F>(
-        &self,
-        trace: &Trace,
-        exec_config: ExecutorConfig,
-        plan_factory: F,
-    ) -> Result<ParallelOutcome, RuntimeError>
-    where
-        F: FnMut(usize) -> Result<ExecutablePlan, PlanError>,
-    {
-        let mut session = self.start(exec_config, plan_factory)?;
-        session.push_trace(trace);
-        session.finish()
-    }
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -204,147 +178,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jit_exec::operator::{DataMessage, OpContext, Operator, OperatorOutput, Port};
-    use jit_exec::plan::{Input, PlanBuilder};
-    use jit_stream::arrival::ArrivalEvent;
-    use jit_types::{BaseTuple, SourceId, SourceSet, Timestamp, Value};
-    use std::sync::Arc;
-
-    /// Forwards every input tuple to its consumer (or the sink).
-    struct Forward;
-
-    impl Operator for Forward {
-        fn name(&self) -> &str {
-            "forward"
-        }
-        fn output_schema(&self) -> SourceSet {
-            SourceSet::first_n(1)
-        }
-        fn num_ports(&self) -> usize {
-            1
-        }
-        fn process(
-            &mut self,
-            _port: Port,
-            msg: &DataMessage,
-            _ctx: &mut OpContext<'_>,
-        ) -> OperatorOutput {
-            OperatorOutput::with_results(vec![msg.clone()])
-        }
-        fn memory_bytes(&self) -> usize {
-            32
-        }
-    }
-
-    fn forward_plan() -> Result<ExecutablePlan, PlanError> {
-        let mut builder = PlanBuilder::new();
-        builder.add_operator(Box::new(Forward), vec![Input::Source(SourceId(0))]);
-        builder.build()
-    }
-
-    fn keyed_trace(n: u64) -> Trace {
-        Trace::new(
-            (0..n)
-                .map(|i| {
-                    let ts = Timestamp::from_millis(i * 10);
-                    ArrivalEvent {
-                        ts,
-                        source: SourceId(0),
-                        tuple: Arc::new(BaseTuple::new(
-                            SourceId(0),
-                            i,
-                            ts,
-                            vec![Value::int(i as i64)],
-                        )),
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn all_arrivals_reach_exactly_one_shard() {
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig::with_shards(4)
-                .with_batch_size(8)
-                .with_channel_capacity(2),
-        );
-        let outcome = runtime
-            .run(&keyed_trace(500), ExecutorConfig::default(), |_| {
-                forward_plan()
-            })
-            .unwrap();
-        assert_eq!(outcome.results_count, 500);
-        assert_eq!(outcome.results.len(), 500);
-        assert_eq!(outcome.snapshot.stats.tuples_arrived, 500);
-        let per_shard_total: u64 = outcome.per_shard.iter().map(|s| s.arrivals).sum();
-        assert_eq!(per_shard_total, 500);
-        assert_eq!(outcome.order_violations, 0);
-        // The merged stream is globally timestamp-ordered.
-        assert!(outcome.results.windows(2).all(|w| w[0].ts() <= w[1].ts()));
-        // With 500 distinct keys over 4 shards, no shard should dominate.
-        assert!(outcome.max_shard_load() < 0.5);
-    }
-
-    #[test]
-    fn tiny_channel_exerts_backpressure_without_loss() {
-        // channel_capacity 1 and batch_size 1: the feeder blocks constantly,
-        // yet every arrival must still come through exactly once.
-        let runtime = ShardedRuntime::new(
-            RuntimeConfig::with_shards(2)
-                .with_batch_size(1)
-                .with_channel_capacity(1),
-        );
-        let outcome = runtime
-            .run(&keyed_trace(300), ExecutorConfig::default(), |_| {
-                forward_plan()
-            })
-            .unwrap();
-        assert_eq!(outcome.results_count, 300);
-    }
-
-    #[test]
-    fn single_shard_degenerates_to_sequential() {
-        let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(1));
-        let outcome = runtime
-            .run(&keyed_trace(50), ExecutorConfig::default(), |_| {
-                forward_plan()
-            })
-            .unwrap();
-        assert_eq!(outcome.per_shard.len(), 1);
-        assert_eq!(outcome.per_shard[0].arrivals, 50);
-        assert_eq!(outcome.results_count, 50);
-    }
-
-    #[test]
-    fn plan_error_is_propagated() {
-        let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2));
-        let result = runtime.run(&keyed_trace(100), ExecutorConfig::default(), |shard| {
-            if shard == 1 {
-                PlanBuilder::new().build() // empty plan → error
-            } else {
-                forward_plan()
-            }
-        });
-        assert!(matches!(result, Err(RuntimeError::Plan(_))));
-    }
-
-    #[test]
-    fn results_collection_can_be_disabled() {
-        let runtime = ShardedRuntime::new(RuntimeConfig::with_shards(2));
-        let outcome = runtime
-            .run(
-                &keyed_trace(80),
-                ExecutorConfig {
-                    collect_results: false,
-                    check_temporal_order: true,
-                },
-                |_| forward_plan(),
-            )
-            .unwrap();
-        assert!(outcome.results.is_empty());
-        assert_eq!(outcome.results_count, 80);
-    }
 
     #[test]
     fn partitioner_mismatch_panics() {

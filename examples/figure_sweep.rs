@@ -7,8 +7,10 @@
 //! The first argument selects the figure (`fig10` … `fig17`, default
 //! `fig10`), the second the duration scale (1.0 = 60 minutes of application
 //! time per point; the paper uses 5.0; default 0.05 so the example finishes
-//! quickly).
+//! quickly). A scale that is not a finite number > 0 prints the usage line
+//! and exits with status 2.
 
+use jit_dsms::harness::config::parse_duration_scale;
 use jit_dsms::harness::figures::check_expectations;
 use jit_dsms::harness::table_out::render_table;
 use jit_dsms::prelude::*;
@@ -16,7 +18,14 @@ use jit_dsms::prelude::*;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let figure_id = args.get(1).map(String::as_str).unwrap_or("fig10");
-    let scale: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.05);
+    let scale = match args.get(2).map(|s| parse_duration_scale(s)) {
+        None => 0.05,
+        Some(Ok(scale)) => scale,
+        Some(Err(message)) => {
+            eprintln!("{message}\nusage: figure_sweep [figNN] [scale]");
+            std::process::exit(2);
+        }
+    };
 
     let spec = FigureSpec::by_id(figure_id).unwrap_or_else(|| {
         eprintln!("unknown figure {figure_id}; expected fig10..fig17");

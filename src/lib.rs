@@ -13,7 +13,8 @@
 //! * [`exec`] — the DSMS substrate: operators, states, queues, scheduler.
 //! * [`core`] — the JIT mechanism: MNS detection, blacklists, feedback,
 //!   dynamic production control, plus the DOE baseline.
-//! * [`plan`] — plan construction (bushy / left-deep / M-Join / Eddy).
+//! * [`plan`] — plan construction (bushy and left-deep join trees), the
+//!   CQL subset and query canonicalisation.
 //! * [`runtime`] — the sharded parallel runtime: hash-partitioned
 //!   multi-core execution of the same plans.
 //! * [`durable`] — the durability subsystem: watermark-driven disorder
@@ -27,7 +28,7 @@
 //!   sharing pipelines, selection pushdown and window state across many
 //!   standing queries over one pushed stream.
 //! * [`harness`] — experiment harness regenerating the paper's figures,
-//!   plus the parallel entry point for scaling experiments.
+//!   plus key-partitionable workloads for scaling experiments.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour,
 //! `examples/live_session.rs` for push-based live ingestion,
@@ -59,9 +60,8 @@ pub mod prelude {
     pub use jit_exec::state::{JoinKeySpec, StateIndexMode};
     pub use jit_harness::config::ExperimentConfig;
     pub use jit_harness::figures::{run_figure, FigureSpec};
-    pub use jit_harness::parallel::{parallel_workload, run_parallel, run_parallel_trace};
+    pub use jit_harness::parallel::parallel_workload;
     pub use jit_plan::cql::parse_cql;
-    pub use jit_plan::runtime::{QueryRuntime, RunOutcome};
     pub use jit_plan::shapes::{PlanShape, TreeShape};
     pub use jit_runtime::{ParallelOutcome, RuntimeConfig, ShardedRuntime, ShardedSession};
     pub use jit_serve::{QueryId, QueryRegistry, ServeOptions};

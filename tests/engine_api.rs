@@ -5,9 +5,12 @@
 //! `Backend` implementations — the single-threaded executor and the sharded
 //! runtime at 1 and 4 shards — purely by builder configuration, and asserts
 //! set-equal, timestamp-ordered results and matching steady-state metrics
-//! against the legacy `QueryRuntime::run` path (which still drives the raw
-//! executor directly, making it an independent oracle).
+//! against a reference run that drives the plan on a raw `Executor`
+//! (`common::reference_run`), independent of the engine.
 
+mod common;
+
+use common::reference_run;
 use jit_dsms::prelude::*;
 use std::sync::Arc;
 
@@ -30,21 +33,14 @@ fn push_through(builder: EngineBuilder, trace: &Trace) -> EngineOutcome {
 }
 
 #[test]
-fn same_pushed_sequence_through_both_backends_matches_legacy_runtime() {
+fn same_pushed_sequence_through_both_backends_matches_the_reference_run() {
     let spec = shared_key_spec();
     let shape = PlanShape::bushy(4);
     let trace = WorkloadGenerator::generate(&spec);
 
-    // Legacy oracle: the pre-engine batch driver on the raw executor.
-    let legacy = QueryRuntime::run_trace(
-        &trace,
-        &spec,
-        &shape,
-        ExecutionMode::Ref,
-        ExecutorConfig::default(),
-    )
-    .expect("legacy plan builds");
-    assert!(legacy.results_count > 0, "workload must produce results");
+    // Reference: the plan driven on a raw executor.
+    let reference = reference_run(&trace, &spec, &shape, ExecutionMode::Ref);
+    assert!(reference.results_count > 0, "workload must produce results");
 
     let builder = Engine::builder().workload(&spec, &shape); // REF by default
     let single = push_through(builder.clone(), &trace);
@@ -63,35 +59,35 @@ fn same_pushed_sequence_through_both_backends_matches_legacy_runtime() {
         ("4 shards", &four_shards),
     ] {
         assert!(
-            output::same_results(&legacy.results, &outcome.results),
-            "{label} diverged from the legacy runtime: missing {}, extra {}",
-            output::missing_from(&legacy.results, &outcome.results).len(),
-            output::missing_from(&outcome.results, &legacy.results).len(),
+            output::same_results(&reference.results, &outcome.results),
+            "{label} diverged from the reference run: missing {}, extra {}",
+            output::missing_from(&reference.results, &outcome.results).len(),
+            output::missing_from(&outcome.results, &reference.results).len(),
         );
         assert!(
             output::is_temporally_ordered(&outcome.results),
             "{label} results out of timestamp order"
         );
         assert_eq!(outcome.order_violations, 0, "{label}");
-        assert_eq!(outcome.results_count, legacy.results_count, "{label}");
+        assert_eq!(outcome.results_count, reference.results_count, "{label}");
     }
 
     // Steady-state metrics. The single-threaded backend and the one-shard
     // sharded backend run the identical executor over the identical
-    // sequence, so every deterministic metric matches the legacy run
+    // sequence, so every deterministic metric matches the reference run
     // exactly (wall-clock is the one nondeterministic field).
     for (label, outcome) in [("single-threaded", &single), ("1 shard", &one_shard)] {
-        assert_eq!(outcome.snapshot.stats, legacy.snapshot.stats, "{label}");
+        assert_eq!(outcome.snapshot.stats, reference.snapshot.stats, "{label}");
         assert_eq!(
-            outcome.snapshot.steady_cost_units, legacy.snapshot.steady_cost_units,
+            outcome.snapshot.steady_cost_units, reference.snapshot.steady_cost_units,
             "{label}"
         );
         assert_eq!(
-            outcome.snapshot.cost_units, legacy.snapshot.cost_units,
+            outcome.snapshot.cost_units, reference.snapshot.cost_units,
             "{label}"
         );
         assert_eq!(
-            outcome.snapshot.steady_peak_memory_bytes, legacy.snapshot.steady_peak_memory_bytes,
+            outcome.snapshot.steady_peak_memory_bytes, reference.snapshot.steady_peak_memory_bytes,
             "{label}"
         );
     }
@@ -99,11 +95,11 @@ fn same_pushed_sequence_through_both_backends_matches_legacy_runtime() {
     // cost shrinks with per-shard state, so cost units legitimately drop).
     assert_eq!(
         four_shards.snapshot.stats.tuples_arrived,
-        legacy.snapshot.stats.tuples_arrived
+        reference.snapshot.stats.tuples_arrived
     );
     assert_eq!(
         four_shards.snapshot.stats.results_emitted,
-        legacy.snapshot.stats.results_emitted
+        reference.snapshot.stats.results_emitted
     );
     assert_eq!(four_shards.per_shard.len(), 4);
 }

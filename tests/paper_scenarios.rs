@@ -7,7 +7,6 @@ use jit_dsms::core::JitJoinOperator;
 use jit_dsms::exec::operator::Operator;
 use jit_dsms::exec::plan::{Input, PlanBuilder};
 use jit_dsms::exec::RefJoinOperator;
-use jit_dsms::plan::builder::{build_eddy_plan, build_mjoin_plan};
 use jit_dsms::prelude::*;
 use jit_dsms::types::{BaseTuple, FilterPredicate};
 use std::sync::Arc;
@@ -156,8 +155,11 @@ fn all_table2_plans_run_under_every_mode() {
             .with_dmax(6)
             .with_duration(Duration::from_secs(90))
             .with_seed(13);
-        let outcomes =
-            QueryRuntime::compare(&spec, &shape, &modes, ExecutorConfig::default()).unwrap();
+        let trace = WorkloadGenerator::generate(&spec);
+        let outcomes = Engine::builder()
+            .workload(&spec, &shape)
+            .compare(&trace, &modes)
+            .unwrap();
         let reference = &outcomes[0];
         for other in &outcomes[1..] {
             assert!(
@@ -220,58 +222,29 @@ fn selection_consumer_suppresses_upstream_production() {
 }
 
 #[test]
-fn mjoin_and_eddy_plans_match_the_tree_plan_results() {
-    let n = 3;
+fn jit_costs_less_than_ref_on_selective_workload() {
+    // High selectivity (large dmax relative to window content) is where
+    // the paper's savings come from.
     let spec = WorkloadSpec::bushy_default()
-        .with_sources(n)
-        .with_window_minutes(30.0)
+        .with_sources(4)
         .with_rate(1.0)
-        .with_dmax(5)
-        .with_duration(Duration::from_secs(60))
+        .with_dmax(200)
+        .with_window_minutes(5.0)
+        .with_duration(Duration::from_secs(300))
         .with_seed(3);
-    let predicates = spec.predicates();
-    let window = spec.window();
     let trace = WorkloadGenerator::generate(&spec);
-
-    // Reference: left-deep tree.
-    let tree = QueryRuntime::run_trace(
-        &trace,
-        &spec,
-        &PlanShape::left_deep(n),
-        ExecutionMode::Ref,
-        ExecutorConfig::default(),
-    )
-    .unwrap();
-
-    // M-Join: no stored intermediate results, same final results.
-    let mut mjoin_exec = Executor::new(
-        build_mjoin_plan(n, &predicates, window).unwrap(),
-        ExecutorConfig {
-            collect_results: true,
-            check_temporal_order: false,
-        },
-    );
-    for event in trace.iter() {
-        mjoin_exec.ingest(event.source, event.tuple.clone());
-    }
-    assert!(output::same_results(&tree.results, mjoin_exec.results()));
-
-    // Eddy: STeM routing, same final results.
-    let mut eddy_exec = Executor::new(
-        build_eddy_plan(
-            n,
-            &predicates,
-            window,
-            jit_dsms::exec::eddy::RoutingPolicy::SmallestStateFirst,
+    let outcomes = Engine::builder()
+        .workload(&spec, &PlanShape::bushy(4))
+        .executor_config(ExecutorConfig {
+            collect_results: false,
+            check_temporal_order: true,
+        })
+        .compare(
+            &trace,
+            &[ExecutionMode::Ref, ExecutionMode::Jit(JitPolicy::full())],
         )
-        .unwrap(),
-        ExecutorConfig {
-            collect_results: true,
-            check_temporal_order: false,
-        },
-    );
-    for event in trace.iter() {
-        eddy_exec.ingest(event.source, event.tuple.clone());
-    }
-    assert!(output::same_results(&tree.results, eddy_exec.results()));
+        .unwrap();
+    let (ref_run, jit_run) = (&outcomes[0].snapshot.stats, &outcomes[1].snapshot.stats);
+    assert!(jit_run.intermediate_produced <= ref_run.intermediate_produced);
+    assert!(jit_run.intermediate_suppressed > 0);
 }
